@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
 from . import _kernels
-from .clustering import Clustering, all_core
+from .clustering import Clustering, all_core, union_ids
 from .errors import ConfigError
 from .graph import Network, subset_degrees
 from .parallel import ordered_map
@@ -40,6 +40,7 @@ _SPECTRAL_ITERS = 100
 @dataclass
 class BisectConfig:
     k: int
+    _: KW_ONLY
     local_search_iters: int = 0
     max_rounds: int = 32
 
@@ -240,10 +241,7 @@ def recursive_split(
                     pending.append(sibling)
                 else:
                     dead.append(sibling)
-    discarded = (
-        np.unique(np.concatenate(dead)) if dead else np.empty(0, dtype=np.int64)
-    )
-    return Clustering([all_core(f) for f in final], net.n), discarded
+    return Clustering([all_core(f) for f in final], net.n), union_ids(dead)
 
 
 def iterative_split(
@@ -287,7 +285,4 @@ def iterative_split(
                 final.append(nodes)
         active = nxt
     final.extend(active)
-    discarded = (
-        np.unique(np.concatenate(dead)) if dead else np.empty(0, dtype=np.int64)
-    )
-    return Clustering([all_core(f) for f in final], net.n), discarded
+    return Clustering([all_core(f) for f in final], net.n), union_ids(dead)

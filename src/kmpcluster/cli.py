@@ -3,7 +3,9 @@
 Every subcommand reads an edge list, does one job, and writes its
 artifacts into --out with fixed file names, so runs with the same
 inputs and flags produce byte-identical directories. Set KMP_THREADS
-to allow intra-stage parallelism; results do not depend on it.
+to allow intra-stage parallelism when numba is installed (without it the
+kernels hold the GIL, so stages run serially); results do not depend on
+it.
 """
 
 from __future__ import annotations
@@ -39,13 +41,23 @@ from .pipeline import STAGE2_CHOICES, PipelineConfig, run_pipeline
 
 log = logging.getLogger(__name__)
 
-_PIPELINE_DEFAULTS = {
-    "k": None,
-    "p": 2,
-    "stage2": "none",
-    "local_search": 0,
-    "max_rounds": 32,
-    "stage3": "on",
+
+def _on_off(value) -> bool:
+    value = str(value).lower()
+    if value not in ("on", "off"):
+        raise ConfigError(f"stage3 must be on or off, got {value!r}")
+    return value == "on"
+
+
+# pipeline flag (its dest, also the config-file key) -> (PipelineConfig
+# field, parser of the given value); the dataclass holds the defaults
+_PIPELINE_KEYS = {
+    "k": ("k", int),
+    "p": ("p", int),
+    "stage2": ("stage2", str),
+    "local_search": ("local_search_iters", int),
+    "max_rounds": ("max_rounds", int),
+    "stage3": ("stage3", _on_off),
 }
 
 
@@ -60,36 +72,26 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}: line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _PIPELINE_DEFAULTS:
+        if key not in _PIPELINE_KEYS:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
 
 
 def _effective_pipeline_config(args) -> PipelineConfig:
-    file_values = _read_config_file(args.config) if args.config else {}
-
-    def pick(name):
-        flag = getattr(args, name)
+    given = _read_config_file(args.config) if args.config else {}
+    for key in _PIPELINE_KEYS:
+        flag = getattr(args, key)
         if flag is not None:
-            return flag
-        if name in file_values:
-            return file_values[name]
-        return _PIPELINE_DEFAULTS[name]
-
-    k = pick("k")
-    if k is None:
+            given[key] = flag
+    if "k" not in given:
         raise ConfigError("k is required (flag --k or config file)")
-    stage3 = str(pick("stage3")).lower()
-    if stage3 not in ("on", "off"):
-        raise ConfigError(f"stage3 must be on or off, got {stage3!r}")
     return PipelineConfig(
-        k=int(k),
-        p=int(pick("p")),
-        stage2=str(pick("stage2")),
-        local_search_iters=int(pick("local_search")),
-        max_rounds=int(pick("max_rounds")),
-        stage3=stage3 == "on",
+        **{
+            field: parse(given[key])
+            for key, (field, parse) in _PIPELINE_KEYS.items()
+            if key in given
+        }
     )
 
 
@@ -97,15 +99,6 @@ def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_unplaced(net, clustering, out, discarded) -> None:
-    """Split the non-members into the discarded and singleton reports."""
-    member = clustering.member_mask()
-    member[discarded] = 1
-    singletons = (member == 0).nonzero()[0]
-    write_node_list(net, discarded, out / "discarded.tsv")
-    write_node_list(net, singletons, out / "singletons.tsv")
 
 
 def _cmd_pipeline(args) -> int:
@@ -181,17 +174,21 @@ def _cmd_parse(args) -> int:
     if args.mode == "strict":
         result, report = strict_filter(net, clustering, args.k, args.p)
         write_json(report.to_dict(), out / "validity.json")
-        discarded = []
+        dropped = []
     elif args.mode == "extract":
         result, discarded = extract_cores(net, clustering, args.k)
+        dropped = [discarded]
     else:
         if args.stage3:
             clustering = augment(net, clustering, args.p)
         result, discarded = kmp_parse(net, clustering, args.k, args.p)
+        dropped = [discarded]
         report = validate(net, result, args.k, args.p)
         write_json(report.to_dict(), out / "validity.json")
     write_clustering(net, result, out / "clustering.tsv")
-    _write_unplaced(net, result, out, discarded)
+    discarded, singletons = result.unplaced(dropped)
+    write_node_list(net, discarded, out / "discarded.tsv")
+    write_node_list(net, singletons, out / "singletons.tsv")
     return 0
 
 

@@ -20,6 +20,11 @@ def as_ids(nodes) -> np.ndarray:
     return a if len(a) else _EMPTY
 
 
+def union_ids(parts) -> np.ndarray:
+    """Sorted unique ids found in any of the arrays in `parts`."""
+    return as_ids(np.concatenate(parts)) if len(parts) else _EMPTY
+
+
 @dataclass(eq=False)
 class Cluster:
     core: np.ndarray
@@ -103,6 +108,19 @@ class Clustering:
     def unclustered(self) -> np.ndarray:
         """Nodes in no cluster at all, sorted."""
         return np.flatnonzero(self.member_mask() == 0).astype(np.int64)
+
+    def unplaced(self, dropped) -> tuple[np.ndarray, np.ndarray]:
+        """Account for the nodes in no cluster: (discarded, singletons).
+
+        `dropped` holds arrays of nodes some stage explicitly dropped.
+        Those that no cluster holds are discarded; every other node
+        outside the clusters is a singleton. Both come back sorted.
+        """
+        member = self.member_mask()
+        dropped = union_ids(dropped)
+        discarded = dropped[member[dropped] == 0]
+        member[discarded] = 1
+        return discarded, np.flatnonzero(member == 0).astype(np.int64)
 
     def assignment(self, min_size: int = 1) -> np.ndarray:
         """Cluster index per node (-1 if unassigned or below `min_size`)."""

@@ -74,19 +74,15 @@ class Network:
         report.self_loops_dropped = int(len(u) - keep.sum())
         u = u[keep]
         v = v[keep]
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        if len(lo):
-            key = lo * np.int64(n) + hi
-            key = np.unique(key)
-            report.duplicate_edges_dropped = int(len(lo) - len(key))
-            lo = key // n
-            hi = key % n
-        m = len(lo)
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.lexsort((dst, src))
-        indices = dst[order]
+        # one arc key src * n + dst per direction; sorting the keys
+        # orders the arcs by source, then by destination
+        arcs = np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u])
+        arcs.sort()
+        arcs = arcs[np.diff(arcs, prepend=-1) != 0]
+        m = len(arcs) // 2
+        report.duplicate_edges_dropped = int(len(u) - m)
+        src = arcs // n
+        indices = arcs % n
         counts = np.bincount(src, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])

@@ -111,41 +111,29 @@ def always_coclustered(
 ) -> list[np.ndarray]:
     """Group markers that share a cluster in every single run.
 
-    `markers` holds panel positions (as from always_clustered). The
-    pairwise relation "same cluster in every run" is closed into groups
-    by connected components; within one run co-membership is already
-    transitive, so the components are the maximal groups that honestly
-    satisfy the relation pairwise. Groups are returned sorted by their
-    first member, singleton groups included.
+    `markers` holds panel positions (as from always_clustered). Within
+    one run co-membership is transitive, so markers whose assignment
+    columns are equal across all runs form the maximal groups that
+    satisfy the relation pairwise. A marker outside every non-singleton
+    cluster in some run stays alone. Groups are returned sorted by
+    their first member, singleton groups included.
     """
     if not runs:
         raise ValueError("need at least one run")
     markers = np.unique(np.asarray(markers, dtype=np.int64))
+    if not len(markers):
+        return []
     assign = _marker_assignments(panel, runs)[:, markers]
-    nm = len(markers)
-    parent = list(range(nm))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(nm):
-        if (assign[:, i] < 0).any():
-            continue
-        for j in range(i + 1, nm):
-            if (assign[:, i] == assign[:, j]).all() and (assign[:, j] >= 0).all():
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(nm):
-        groups.setdefault(find(i), []).append(i)
-    return [
-        markers[np.array(members, dtype=np.int64)]
-        for _, members in sorted(groups.items())
-    ]
+    _, first, inverse = np.unique(
+        assign, axis=1, return_index=True, return_inverse=True
+    )
+    # label each marker by the first marker with the same column
+    group = first[inverse.reshape(-1)]
+    placed = (assign >= 0).all(axis=0)
+    group = np.where(placed, group, np.arange(len(markers)))
+    order = np.argsort(group, kind="stable")
+    bounds = np.flatnonzero(np.diff(group[order])) + 1
+    return [markers[members] for members in np.split(order, bounds)]
 
 
 def smallest_common_cluster(
@@ -198,10 +186,7 @@ def classical_mds(d: np.ndarray, dims: int = 2) -> np.ndarray:
     """Embed a distance matrix by double-centering and top eigenpairs.
 
     B = -1/2 * J * (D squared elementwise) * J with J the centering
-    projector; the top
-    `dims` eigenpairs come from shifted power iteration with deflation
-    (the shift keeps the iteration converging to the algebraically
-    largest eigenvalue even when B is indefinite). Axes with
+    projector; the top `dims` eigenpairs of B give the axes. Axes with
     nonpositive eigenvalues collapse to zero. Sign convention: the
     first nonzero entry of each axis is positive.
     """
@@ -219,40 +204,13 @@ def classical_mds(d: np.ndarray, dims: int = 2) -> np.ndarray:
     row = sq.mean(axis=1, keepdims=True)
     col = sq.mean(axis=0, keepdims=True)
     b = -0.5 * (sq - row - col + sq.mean())
-    shift = float(np.abs(b).sum(axis=1).max())
+    vals, vecs = np.linalg.eigh(b)
     coords = np.zeros((n, dims))
-    basis: list[np.ndarray] = []
-    vals: list[float] = []
     for axis in range(min(dims, n)):
-        rng = np.random.default_rng(314159 + axis)
-        v = rng.standard_normal(n)
-        for u in basis:
-            v -= (u @ v) * u
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            break
-        v /= nrm
-        prev = 0.0
-        lam = 0.0
-        for _ in range(1000):
-            w = b @ v + shift * v
-            for u in basis:
-                w -= (u @ w) * u
-            nrm = np.linalg.norm(w)
-            if nrm < 1e-300:
-                lam = 0.0
-                break
-            v = w / nrm
-            lam = float(v @ (b @ v))
-            if abs(lam - prev) < 1e-12 * max(1.0, abs(lam)):
-                break
-            prev = lam
-        basis.append(v.copy())
-        vals.append(lam)
-    for axis, (v, lam) in enumerate(zip(basis, vals)):
+        lam = vals[n - 1 - axis]
         if lam <= 0:
             continue
-        coord = v * np.sqrt(lam)
+        coord = vecs[:, n - 1 - axis] * np.sqrt(lam)
         nz = np.flatnonzero(np.abs(coord) > 1e-12)
         if len(nz) and coord[nz[0]] < 0:
             coord = -coord

@@ -2,14 +2,17 @@
 
 Thread count comes from the KMP_THREADS environment variable (default
 1). Results always come back in submission order, so outputs do not
-depend on how many workers ran; the compiled kernels release the GIL,
-which is where the actual overlap happens.
+depend on how many workers ran. Threads only pay off when numba
+compiles the kernels, which then release the GIL; the interpreted
+kernels hold it, so without numba every map runs serially.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+
+from . import _kernels
 
 
 def worker_count() -> int:
@@ -24,7 +27,7 @@ def ordered_map(func, items) -> list:
     """Apply func to each item, preserving order of results."""
     items = list(items)
     workers = worker_count()
-    if workers == 1 or len(items) <= 1:
+    if workers == 1 or len(items) <= 1 or not _kernels.NUMBA:
         return [func(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, items))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .clustering import Cluster, Clustering, all_core
+from .clustering import Cluster, Clustering, all_core, union_ids
 from .errors import ConfigError
 from .graph import Network, connected_components, induced_edge_count, subset_degrees
 
@@ -229,12 +229,7 @@ def kmp_parse(
         for i, d in enumerate(derived):
             out.append(Cluster(core=d, noncore=bin_nodes[choice == i]))
             owner[d] = -1
-    discarded = (
-        np.unique(np.concatenate(dropped_all))
-        if dropped_all
-        else np.empty(0, dtype=np.int64)
-    )
-    return Clustering(out, net.n), discarded
+    return Clustering(out, net.n), union_ids(dropped_all)
 
 
 def extract_cores(
@@ -257,12 +252,7 @@ def extract_cores(
         derived, dropped, _ = _core_split(net, nodes, k)
         dropped_all.extend(dropped)
         out.extend(all_core(d) for d in derived)
-    discarded = (
-        np.unique(np.concatenate(dropped_all))
-        if dropped_all
-        else np.empty(0, dtype=np.int64)
-    )
-    return Clustering(out, net.n), discarded
+    return Clustering(out, net.n), union_ids(dropped_all)
 
 
 def strict_filter(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,18 +28,20 @@ log = logging.getLogger(__name__)
 STAGE2_CHOICES = ("none", "recursive", "iterative")
 
 
-@dataclass
-class PipelineConfig:
-    k: int
+@dataclass(kw_only=True)
+class PipelineConfig(BisectConfig):
+    """Stage 2's settings plus the ones only the pipeline reads.
+
+    Every field after `k` is keyword-only, so the order in which the
+    fields are declared cannot change what a call means.
+    """
+
     p: int = 2
     stage2: str = "none"
-    local_search_iters: int = 0
-    max_rounds: int = 32
     stage3: bool = True
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"k must be at least 1, got {self.k}")
+        super().__post_init__()
         if self.p < 1:
             raise ConfigError(f"p must be at least 1, got {self.p}")
         if self.p >= self.k:
@@ -50,26 +52,9 @@ class PipelineConfig:
             raise ConfigError(
                 f"stage2 must be one of {', '.join(STAGE2_CHOICES)}, got {self.stage2!r}"
             )
-        cfg = self.bisect_config()
-        self.local_search_iters = cfg.local_search_iters
-        self.max_rounds = cfg.max_rounds
-
-    def bisect_config(self) -> BisectConfig:
-        return BisectConfig(
-            k=self.k,
-            local_search_iters=self.local_search_iters,
-            max_rounds=self.max_rounds,
-        )
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "p": self.p,
-            "stage2": self.stage2,
-            "local_search_iters": self.local_search_iters,
-            "max_rounds": self.max_rounds,
-            "stage3": self.stage3,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -104,7 +89,7 @@ def run_pipeline(net: Network, cfg: PipelineConfig) -> PipelineResult:
     if cfg.stage2 != "none":
         t0 = time.perf_counter()
         split = recursive_split if cfg.stage2 == "recursive" else iterative_split
-        current, disc = split(net, current, cfg.bisect_config())
+        current, disc = split(net, current, cfg)
         dropped.append(disc)
         timings["stage2"] = time.perf_counter() - t0
         log.info(
@@ -136,14 +121,7 @@ def run_pipeline(net: Network, cfg: PipelineConfig) -> PipelineResult:
     if not validity.all_kmp_valid():
         raise RuntimeError("pipeline produced an invalid cluster; this is a bug")
 
-    member = final.member_mask()
-    ever_dropped = (
-        np.unique(np.concatenate(dropped)) if dropped else np.empty(0, np.int64)
-    )
-    discarded = ever_dropped[member[ever_dropped] == 0]
-    out_mask = member.copy()
-    out_mask[discarded] = 1
-    singletons = np.flatnonzero(out_mask == 0).astype(np.int64)
+    discarded, singletons = final.unplaced(dropped)
     return PipelineResult(
         final=final,
         validity=validity,

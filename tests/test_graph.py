@@ -214,6 +214,49 @@ def test_write_then_load_round_trip(tmp_path_factory, data):
     assert orig == again
 
 
+@st.composite
+def endpoint_pairs(draw):
+    """Pairs over a few nodes with loops, repeats and both orientations,
+    plus the `n` to build with (None, or room for trailing isolated
+    nodes)."""
+    used = draw(st.integers(min_value=1, max_value=12))
+    node = st.integers(min_value=0, max_value=used - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=60))
+    if pairs:
+        again = draw(st.lists(st.sampled_from(pairs), max_size=10))
+        flip = draw(st.lists(st.booleans(), min_size=len(again), max_size=len(again)))
+        pairs += [(b, a) if f else (a, b) for (a, b), f in zip(again, flip)]
+    extra = draw(st.none() | st.integers(min_value=0, max_value=3))
+    n = None if extra is None else used + extra
+    return pairs, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=endpoint_pairs())
+def test_from_edges_matches_set_oracle(case):
+    pairs, n = case
+    u = [a for a, _ in pairs]
+    v = [b for _, b in pairs]
+    net = Network.from_edges(u, v, n=n)
+    if n is None:
+        n = max(u + v) + 1 if pairs else 0
+    adj = {x: set() for x in range(n)}
+    for a, b in pairs:
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    m = sum(len(s) for s in adj.values()) // 2
+    loops = sum(1 for a, b in pairs if a == b)
+    assert net.n == n
+    assert net.m == m
+    assert net.indptr.tolist() == [0] + np.cumsum(
+        [len(adj[x]) for x in range(n)], dtype=np.int64
+    ).tolist()
+    assert net.indices.tolist() == [y for x in range(n) for y in sorted(adj[x])]
+    assert net.load_report.self_loops_dropped == loops
+    assert net.load_report.duplicate_edges_dropped == len(pairs) - loops - m
+
+
 _IDS = st.integers(min_value=0, max_value=10**12).map(str)
 _PAD = st.text(" \t", max_size=2)
 _SEP = st.text(" \t", min_size=1, max_size=3)

@@ -212,6 +212,8 @@ def test_coclustered_matches_component_oracle():
         assert got == want
         flat = [v for g in groups for v in g.tolist()]
         assert sorted(flat) == list(range(len(panel)))
+        firsts = [int(g[0]) for g in groups]
+        assert firsts == sorted(firsts)
 
 
 def test_smallest_common_cluster_picks_smaller_run():
@@ -320,6 +322,20 @@ def test_mds_unit_square():
     d = embedded_distances(pts)
     got = embedded_distances(classical_mds(d))
     assert np.abs(got - d).max() < 1e-6
+
+
+def test_mds_recovers_planar_points_exactly():
+    # a planar configuration is embedded without loss, so the embedded
+    # distances must match the input up to float64 rounding
+    rng = np.random.default_rng(2718)
+    worst = 0.0
+    for _ in range(200):
+        n = int(rng.integers(3, 31))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        d = embedded_distances(scale * rng.standard_normal((n, 2)))
+        got = embedded_distances(classical_mds(d))
+        worst = max(worst, np.abs(got - d).max() / d.max())
+    assert worst < 1e-9
 
 
 def test_mds_sign_convention_and_determinism():
