@@ -1,10 +1,16 @@
-"""Hot loops over CSR adjacency arrays.
+"""Kernels over CSR adjacency arrays.
 
-Every function here takes plain numpy arrays so it can be compiled with
-numba. When numba is missing or disabled (KMP_NO_NUMBA=1) the same code
-runs as ordinary Python, just slower. Nothing in this module knows about
-the Network class; callers pass (indptr, indices) plus whatever scratch
-arrays the kernel needs.
+Every function here takes plain numpy arrays; nothing in this module
+knows about the Network class. Callers pass (indptr, indices) plus
+whatever mask or output arrays the kernel needs.
+
+Eight kernels are whole-array numpy: `subset_degrees`,
+`count_neighbors_in`, `induced_edges`, `cut_counts`, `extract_local_csr`,
+`matvec`, `peel` and `component_labels`. The other three,
+`sweep_objective`, `refine_split` and `best_cluster_per_node`, are
+loops whose steps depend on the steps before them. Those three are
+compiled with numba when it is installed and KMP_NO_NUMBA is unset;
+otherwise they run as ordinary Python and give identical results.
 """
 
 from __future__ import annotations
@@ -33,204 +39,142 @@ else:
         return func
 
 
-@_kernel
+def _gather(indptr, sub):
+    """Arc positions of the rows `sub`, in row then arc order, and the
+    index into `sub` of each arc's row."""
+    start = indptr[sub]
+    lens = indptr[sub + 1] - start
+    rows = np.repeat(np.arange(len(sub)), lens)
+    arcs = np.arange(len(rows)) + np.repeat(start - (np.cumsum(lens) - lens), lens)
+    return arcs, rows
+
+
+def _count_in(indptr, indices, mask, nodes):
+    """Count, for each node of `nodes`, its neighbours with `mask` set."""
+    arcs, rows = _gather(indptr, nodes)
+    return np.bincount(rows[mask[indices[arcs]] != 0], minlength=len(nodes))
+
+
 def subset_degrees(indptr, indices, in_sub, sub):
     """Degree of each node of `sub` counting only neighbors inside `sub`.
 
     `in_sub` is a uint8 membership mask over all nodes; `sub` is the
     sorted member list. Returns an int64 array aligned with `sub`.
     """
-    out = np.zeros(len(sub), np.int64)
-    for i in range(len(sub)):
-        v = sub[i]
-        c = 0
-        for e in range(indptr[v], indptr[v + 1]):
-            if in_sub[indices[e]]:
-                c += 1
-        out[i] = c
-    return out
+    return _count_in(indptr, indices, in_sub, sub)
 
 
-@_kernel
 def count_neighbors_in(indptr, indices, mask, nodes):
     """For each node in `nodes`, count neighbors with mask set."""
-    out = np.zeros(len(nodes), np.int64)
-    for i in range(len(nodes)):
-        v = nodes[i]
-        c = 0
-        for e in range(indptr[v], indptr[v + 1]):
-            if mask[indices[e]]:
-                c += 1
-        out[i] = c
-    return out
+    return _count_in(indptr, indices, mask, nodes)
 
 
-@_kernel
 def induced_edges(indptr, indices, in_sub, sub):
     """Number of edges with both endpoints in `sub`."""
-    twice = 0
-    for i in range(len(sub)):
-        v = sub[i]
-        for e in range(indptr[v], indptr[v + 1]):
-            if in_sub[indices[e]]:
-                twice += 1
-    return twice // 2
+    return int(_count_in(indptr, indices, in_sub, sub).sum()) // 2
 
 
-@_kernel
 def peel(indptr, indices, sub, n):
     """Core number of every node of `sub` within the induced subgraph.
 
-    Bucket peeling in O(V + E): repeatedly remove a minimum-degree node
-    and record the degree it had at removal time. Returns int64 labels
-    aligned with `sub`.
+    Frontier peeling on the local CSR. For each threshold k in turn
+    (skipping ahead to the smallest live degree), every live node of
+    degree <= k is removed in waves: each wave lowers its live
+    neighbours' degrees, and those that fall to k or below form the
+    next wave. A node's label is the k it was removed at. Returns int64
+    labels aligned with `sub`.
+
+    A wave costs a few numpy calls plus work in proportion to the
+    frontier's arcs, and there is one wave per onion layer. So a long
+    path, which loses only its two ends per wave, is the worst case: on
+    a 100k-node path this takes about 2.2 s on a 2-core machine, where
+    a bucket-queue loop run as interpreted Python takes 0.7 to 1.0 s.
     """
-    nsub = len(sub)
-    loc = np.full(n, -1, np.int64)
-    for i in range(nsub):
-        loc[sub[i]] = i
-    deg = np.zeros(nsub, np.int64)
-    maxdeg = 0
-    for i in range(nsub):
-        v = sub[i]
-        c = 0
-        for e in range(indptr[v], indptr[v + 1]):
-            if loc[indices[e]] >= 0:
-                c += 1
-        deg[i] = c
-        if c > maxdeg:
-            maxdeg = c
-    # bucket sort members by degree
-    bin_start = np.zeros(maxdeg + 2, np.int64)
-    for i in range(nsub):
-        bin_start[deg[i] + 1] += 1
-    for d in range(1, maxdeg + 2):
-        bin_start[d] += bin_start[d - 1]
-    fill = bin_start[: maxdeg + 1].copy()
-    pos = np.empty(nsub, np.int64)
-    vert = np.empty(nsub, np.int64)
-    for i in range(nsub):
-        pos[i] = fill[deg[i]]
-        vert[pos[i]] = i
-        fill[deg[i]] += 1
-    labels = np.zeros(nsub, np.int64)
-    for idx in range(nsub):
-        i = vert[idx]
-        labels[i] = deg[i]
-        v = sub[i]
-        for e in range(indptr[v], indptr[v + 1]):
-            j = loc[indices[e]]
-            if j >= 0 and deg[j] > deg[i]:
-                dj = deg[j]
-                pj = pos[j]
-                pw = bin_start[dj]
-                w = vert[pw]
-                if j != w:
-                    vert[pj] = w
-                    vert[pw] = j
-                    pos[j] = pw
-                    pos[w] = pj
-                bin_start[dj] += 1
-                deg[j] -= 1
+    lptr, lind = extract_local_csr(indptr, indices, sub, n)
+    deg = np.diff(lptr)
+    labels = np.zeros(len(sub), np.int64)
+    alive = np.ones(len(sub), np.bool_)
+    live = np.arange(len(sub))
+    k = 0
+    while len(live):
+        live_deg = deg[live]
+        k = max(k, int(live_deg.min()))
+        frontier = live[live_deg <= k]
+        while len(frontier):
+            labels[frontier] = k
+            alive[frontier] = False
+            nbr = lind[_gather(lptr, frontier)[0]]
+            nbr, cnt = np.unique(nbr[alive[nbr]], return_counts=True)
+            deg[nbr] -= cnt
+            frontier = nbr[deg[nbr] <= k]
+        live = live[alive[live]]
+        k += 1
     return labels
 
 
-@_kernel
 def component_labels(indptr, indices, sub, n):
     """Connected component id for each node of `sub` (induced subgraph).
 
     Ids are dense from 0 and ordered by each component's smallest member,
-    provided `sub` is sorted ascending.
+    provided `sub` is sorted ascending. Each round hooks every root to
+    the smallest root across its arcs, then jumps pointers until every
+    node points at a root; a component ends up pointing at its smallest
+    local index.
     """
-    nsub = len(sub)
-    loc = np.full(n, -1, np.int64)
-    for i in range(nsub):
-        loc[sub[i]] = i
-    comp = np.full(nsub, -1, np.int64)
-    queue = np.empty(nsub, np.int64)
-    c = 0
-    for i in range(nsub):
-        if comp[i] >= 0:
-            continue
-        comp[i] = c
-        queue[0] = i
-        head = 0
-        tail = 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            v = sub[u]
-            for e in range(indptr[v], indptr[v + 1]):
-                j = loc[indices[e]]
-                if j >= 0 and comp[j] < 0:
-                    comp[j] = c
-                    queue[tail] = j
-                    tail += 1
-        c += 1
-    return comp
+    lptr, lind = extract_local_csr(indptr, indices, sub, n)
+    rows = np.repeat(np.arange(len(sub)), np.diff(lptr))
+    parent = np.arange(len(sub))
+    while True:
+        pr = parent[rows]
+        pc = parent[lind]
+        split = pr != pc
+        if not split.any():
+            break
+        np.minimum.at(parent, pr[split], pc[split])
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    return np.unique(parent, return_inverse=True)[1]
 
 
-@_kernel
 def extract_local_csr(indptr, indices, sub, n):
     """CSR of the subgraph induced by `sub`, with local 0..len(sub)-1 ids."""
-    nsub = len(sub)
     loc = np.full(n, -1, np.int64)
-    for i in range(nsub):
-        loc[sub[i]] = i
-    lptr = np.zeros(nsub + 1, np.int64)
-    for i in range(nsub):
-        v = sub[i]
-        c = 0
-        for e in range(indptr[v], indptr[v + 1]):
-            if loc[indices[e]] >= 0:
-                c += 1
-        lptr[i + 1] = lptr[i] + c
-    lind = np.empty(lptr[nsub], np.int64)
-    for i in range(nsub):
-        v = sub[i]
-        w = lptr[i]
-        for e in range(indptr[v], indptr[v + 1]):
-            j = loc[indices[e]]
-            if j >= 0:
-                lind[w] = j
-                w += 1
-    return lptr, lind
+    loc[sub] = np.arange(len(sub))
+    arcs, rows = _gather(indptr, sub)
+    lind = loc[indices[arcs]]
+    keep = lind >= 0
+    lptr = np.zeros(len(sub) + 1, np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=len(sub)), out=lptr[1:])
+    return lptr, lind[keep]
 
 
-@_kernel
 def matvec(lptr, lind, x, out):
-    """out[i] = sum of x over neighbors of i in a local CSR."""
-    for i in range(len(out)):
-        s = 0.0
-        for e in range(lptr[i], lptr[i + 1]):
-            s += x[lind[e]]
-        out[i] = s
+    """out[i] = sum of x over neighbors of i in a local CSR.
+
+    np.bincount adds the weights in arc order starting from 0.0, so the
+    sums match a per-row loop to the last bit.
+    """
+    rows = np.repeat(np.arange(len(out)), np.diff(lptr))
+    out[:] = np.bincount(rows, weights=x[lind], minlength=len(out))
 
 
-@_kernel
 def cut_counts(indptr, indices, side, nodes):
     """Edge counts for a 2-way split of one cluster.
 
     `side` is int8 over all nodes: 0 or 1 inside the cluster, -1 outside.
     Returns (cut, internal_0, internal_1).
     """
-    cut2 = 0
-    int0 = 0
-    int1 = 0
-    for i in range(len(nodes)):
-        v = nodes[i]
-        sv = side[v]
-        for e in range(indptr[v], indptr[v + 1]):
-            su = side[indices[e]]
-            if su < 0:
-                continue
-            if su == sv:
-                if sv == 0:
-                    int0 += 1
-                else:
-                    int1 += 1
-            else:
-                cut2 += 1
+    arcs, rows = _gather(indptr, nodes)
+    sv = side[nodes][rows]
+    su = side[indices[arcs]]
+    inside = su >= 0
+    same = inside & (su == sv)
+    int0 = int((same & (sv == 0)).sum())
+    int1 = int(same.sum()) - int0
+    cut2 = int(inside.sum()) - int(same.sum())
     return cut2 // 2, int0 // 2, int1 // 2
 
 

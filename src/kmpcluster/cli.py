@@ -4,8 +4,8 @@ Every subcommand reads an edge list, does one job, and writes its
 artifacts into --out with fixed file names, so runs with the same
 inputs and flags produce byte-identical directories. Set KMP_THREADS
 to allow intra-stage parallelism when numba is installed (without it the
-kernels hold the GIL, so stages run serially); results do not depend on
-it.
+loop kernels hold the GIL, so stages run serially); results do not depend
+on it.
 """
 
 from __future__ import annotations

@@ -182,7 +182,7 @@ def connected_components(net: Network, within=None) -> list[np.ndarray]:
     ncomp = int(comp.max()) + 1
     order = np.argsort(comp, kind="stable")
     bounds = np.searchsorted(comp[order], np.arange(1, ncomp))
-    return [np.sort(part) for part in np.split(s[order], bounds)]
+    return np.split(s[order], bounds)
 
 
 def load_edge_list(path) -> Network:

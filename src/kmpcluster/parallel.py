@@ -3,8 +3,8 @@
 Thread count comes from the KMP_THREADS environment variable (default
 1). Results always come back in submission order, so outputs do not
 depend on how many workers ran. Threads only pay off when numba
-compiles the kernels, which then release the GIL; the interpreted
-kernels hold it, so without numba every map runs serially.
+compiles the loop kernels, which then release the GIL; interpreted
+loops hold it, so without numba every map runs serially.
 """
 
 from __future__ import annotations

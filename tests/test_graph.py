@@ -179,6 +179,7 @@ def test_components_partition_everything():
     comps = connected_components(net)
     combined = np.sort(np.concatenate(comps))
     assert combined.tolist() == list(range(80))
+    assert all((np.diff(c) > 0).all() for c in comps)
 
 
 @settings(max_examples=40, deadline=None)

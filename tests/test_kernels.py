@@ -1,0 +1,148 @@
+"""Differential tests of the numpy kernels against the set-based oracles.
+
+Networks are built from long paths (the frontier peel's worst case),
+stars, cliques, small random pieces and isolated nodes, with ids
+shuffled so the pieces interleave. Each kernel runs on the whole
+network, on no nodes, on one node, or on a random part of it.
+"""
+
+from itertools import accumulate
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+import synth
+from kmpcluster import Network, _kernels
+
+_SHAPES = ("path", "star", "clique", "random", "isolated")
+
+
+@st.composite
+def network_and_subset(draw):
+    """(net, sorted subset, rng) with the rng seeded from the draw."""
+    edges = []
+    n = 0
+    for shape in draw(st.lists(st.sampled_from(_SHAPES), min_size=1, max_size=3)):
+        if shape == "path":
+            size = draw(st.integers(min_value=2, max_value=300))
+            edges += synth.path_edges(range(n, n + size))
+        elif shape == "star":
+            size = draw(st.integers(min_value=2, max_value=30))
+            edges += synth.star_edges(n, range(n + 1, n + size))
+        elif shape == "clique":
+            size = draw(st.integers(min_value=2, max_value=12))
+            edges += synth.clique_edges(range(n, n + size))
+        elif shape == "random":
+            size = draw(st.integers(min_value=2, max_value=25))
+            node = st.integers(min_value=n, max_value=n + size - 1)
+            edges += draw(st.lists(st.tuples(node, node), max_size=4 * size))
+        else:
+            size = draw(st.integers(min_value=1, max_value=5))
+        n += size
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    net = Network.from_edges(perm[ends[:, 0]], perm[ends[:, 1]], n=n)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(("all", "empty", "one", "part")))
+    if kind == "all":
+        sub = net.all_nodes()
+    elif kind == "empty":
+        sub = np.empty(0, dtype=np.int64)
+    elif kind == "one":
+        sub = np.array([draw(st.integers(min_value=0, max_value=n - 1))], np.int64)
+    else:
+        sub = np.flatnonzero(rng.random(n) < rng.uniform(0.2, 0.95))
+    return net, sub, rng
+
+
+def local_adjacency(adj, sub) -> list[list[int]]:
+    """Each member's neighbours inside `sub`, as sorted local ids."""
+    pos = {int(v): i for i, v in enumerate(sub)}
+    return [sorted(pos[u] for u in adj[int(v)] if u in pos) for v in sub]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=network_and_subset())
+def test_peel_matches_deletion_oracle(case):
+    net, sub, _ = case
+    labels = _kernels.peel(net.indptr, net.indices, sub, net.n)
+    expect = oracles.core_labels_by_deletion(oracles.adjacency(net), sub.tolist())
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [expect[v] for v in sub.tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=network_and_subset())
+def test_component_labels_match_oracle_in_smallest_member_order(case):
+    net, sub, _ = case
+    comp = _kernels.component_labels(net.indptr, net.indices, sub, net.n)
+    assert comp.dtype == np.int64
+    assert len(comp) == len(sub)
+    ncomp = int(comp.max()) + 1 if len(comp) else 0
+    got = [frozenset(sub[comp == c].tolist()) for c in range(ncomp)]
+    assert got == oracles.components_of(oracles.adjacency(net), sub.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=network_and_subset())
+def test_local_csr_matches_adjacency_sets(case):
+    net, sub, _ = case
+    lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, sub, net.n)
+    rows = local_adjacency(oracles.adjacency(net), sub)
+    assert lptr.dtype == np.int64 and lind.dtype == np.int64
+    assert lptr.tolist() == [0, *accumulate(len(r) for r in rows)]
+    assert lind.tolist() == [j for r in rows for j in r]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=network_and_subset())
+def test_neighbor_counts_match_adjacency_sets(case):
+    net, sub, rng = case
+    adj = oracles.adjacency(net)
+    members = set(sub.tolist())
+    in_sub = net.mask(sub)
+    got = _kernels.subset_degrees(net.indptr, net.indices, in_sub, sub)
+    assert got.dtype == np.int64
+    assert got.tolist() == [len(adj[v] & members) for v in sub.tolist()]
+    edges = _kernels.induced_edges(net.indptr, net.indices, in_sub, sub)
+    assert edges == oracles.induced_edges_of(adj, members)
+
+    other = np.flatnonzero(rng.random(net.n) < 0.5)
+    hits = _kernels.count_neighbors_in(net.indptr, net.indices, net.mask(other), sub)
+    others = set(other.tolist())
+    assert hits.dtype == np.int64
+    assert hits.tolist() == [len(adj[v] & others) for v in sub.tolist()]
+
+    side = np.full(net.n, -1, dtype=np.int8)
+    side[sub] = rng.integers(0, 2, len(sub))
+    part0 = set(sub[side[sub] == 0].tolist())
+    part1 = members - part0
+    cut = sum(1 for v in part0 for u in adj[v] if u in part1)
+    expect = (
+        cut,
+        oracles.induced_edges_of(adj, part0),
+        oracles.induced_edges_of(adj, part1),
+    )
+    assert _kernels.cut_counts(net.indptr, net.indices, side, sub) == expect
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=network_and_subset())
+def test_matvec_sums_in_arc_order_bit_for_bit(case):
+    net, sub, rng = case
+    rows = local_adjacency(oracles.adjacency(net), sub)
+    lptr = np.array([0, *accumulate(len(r) for r in rows)], dtype=np.int64)
+    lind = np.array([j for r in rows for j in r], dtype=np.int64)
+    # magnitudes from 1e-8 to 1e8, so the order of the additions shows
+    x = rng.standard_normal(len(sub)) * 10.0 ** rng.integers(-8, 9, len(sub))
+    out = np.full(len(sub), np.nan)
+    _kernels.matvec(lptr, lind, x, out)
+    expect = []
+    for r in rows:
+        s = 0.0
+        for j in r:
+            s += float(x[j])
+        expect.append(s)
+    assert out.tobytes() == np.array(expect, dtype=np.float64).tobytes()
