@@ -127,9 +127,11 @@ def _spectral_order(lptr, lind):
     x -= w @ x
     tmp = np.empty(nloc)
     safe = np.maximum(deg, 1.0)
+    linked = deg > 0
+    rows = np.repeat(np.arange(nloc), np.diff(lptr))
     for _ in range(_SPECTRAL_ITERS):
-        _kernels.matvec(lptr, lind, x, tmp)
-        y = np.where(deg > 0, 0.5 * x + 0.5 * tmp / safe, x)
+        _kernels.matvec(lptr, lind, x, tmp, rows)
+        y = np.where(linked, 0.5 * x + 0.5 * tmp / safe, x)
         y -= w @ y
         nrm = np.linalg.norm(y)
         if nrm < 1e-300:
@@ -251,6 +253,7 @@ def iterative_split(
 
     Every active cluster is bipartitioned each round; each part is
     core-extracted at k and its positively-modular components advance.
+    One grouped `_core_split` extracts all parts of a round together.
     A cluster none of whose parts yields an advancing component is
     finalized as it stands. After cfg.max_rounds rounds whatever is
     still active is finalized too (advancing clusters are always k-valid
@@ -265,24 +268,17 @@ def iterative_split(
     for _ in range(cfg.max_rounds):
         if not active:
             break
-        nxt: list[np.ndarray] = []
         splittable = [nodes for nodes in active if len(nodes) >= 2]
         for nodes in active:
             if len(nodes) < 2:
                 final.append(nodes)
         splits = ordered_map(lambda s: bipartition(net, s, cfg), splittable)
-        for nodes, (p0, p1) in zip(splittable, splits):
-            advancing: list[np.ndarray] = []
-            for part in (p0, p1):
-                derived, _, _ = _core_split(net, part, cfg.k)
-                advancing.extend(derived)
-            if advancing:
-                nxt.extend(advancing)
-                shaved = np.setdiff1d(nodes, np.concatenate(advancing))
-                if len(shaved):
-                    dead.append(shaved)
-            else:
-                final.append(nodes)
-        active = nxt
+        # parts 2i and 2i + 1 are the halves of cluster i
+        split = _core_split(net, [half for pair in splits for half in pair], cfg.k)
+        cluster = split.part // 2
+        advancing = np.bincount(cluster[split.owner >= 0], minlength=len(splittable))
+        final.extend(nodes for nodes, a in zip(splittable, advancing) if not a)
+        dead.append(split.nodes[(split.owner < 0) & (advancing[cluster] > 0)])
+        active = split.cores
     final.extend(active)
     return Clustering([all_core(f) for f in final], net.n), union_ids(dead)

@@ -16,8 +16,49 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 def as_ids(nodes) -> np.ndarray:
-    a = np.unique(np.asarray(nodes, dtype=np.int64).ravel())
-    return a if len(a) else _EMPTY
+    """`nodes` as a sorted int64 array without repeats.
+
+    Input that is already strictly increasing comes back as a read-only
+    view of itself rather than through NumPy's hash-based `np.unique`,
+    so the result may share memory with the input and is never written
+    to.
+    """
+    a = np.asarray(nodes, dtype=np.int64).ravel()
+    if not len(a):
+        return _EMPTY
+    if (a[1:] > a[:-1]).all():
+        a = a.view()
+        a.flags.writeable = False
+        return a
+    return np.unique(a)
+
+
+def disjoint_concat(parts) -> tuple[np.ndarray, np.ndarray]:
+    """The node arrays `parts` concatenated, and each node's part index.
+
+    Raises ValueError when a node appears in two parts.
+    """
+    nodes = np.concatenate([_EMPTY, *parts])
+    part = np.repeat(np.arange(len(parts)), [len(a) for a in parts])
+    s = np.sort(nodes)
+    bad = np.unique(s[1:][s[1:] == s[:-1]])
+    if len(bad):
+        raise ValueError(
+            f"{len(bad)} nodes appear in more than one cluster "
+            f"(first few: {bad[:5].tolist()})"
+        )
+    return nodes, part
+
+
+def split_by(label, values, count: int) -> list[np.ndarray]:
+    """`[values[label == i] for i in range(count)]`, from one stable sort.
+
+    Entries labelled -1 belong to no part. Each part keeps the order its
+    entries had in `values`.
+    """
+    order = np.argsort(label, kind="stable")
+    bounds = np.searchsorted(label[order], np.arange(count + 1))
+    return np.split(values[order], bounds)[1:-1]
 
 
 def union_ids(parts) -> np.ndarray:
@@ -133,16 +174,7 @@ class Clustering:
 
     def check_disjoint(self) -> None:
         """Raise if any node appears in two clusters."""
-        counts = np.zeros(self.n_nodes, dtype=np.int64)
-        for c in self.clusters:
-            counts[c.core] += 1
-            counts[c.noncore] += 1
-        bad = np.flatnonzero(counts > 1)
-        if len(bad):
-            raise ValueError(
-                f"{len(bad)} nodes appear in more than one cluster "
-                f"(first few: {bad[:5].tolist()})"
-            )
+        disjoint_concat([a for c in self.clusters for a in (c.core, c.noncore)])
 
     def same_clusters(self, other: "Clustering") -> bool:
         return (

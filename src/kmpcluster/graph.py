@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
+from .clustering import as_ids, split_by
 from .errors import EdgeListError
 
 NodeId = int
@@ -137,8 +138,11 @@ class Network:
     # -- subset operations -----------------------------------------------
 
     def subset(self, nodes) -> np.ndarray:
-        """Canonicalize a node collection: sorted, unique, in range."""
-        s = np.unique(np.asarray(nodes, dtype=np.int64).ravel())
+        """Canonicalize a node collection: sorted, unique, in range.
+
+        Like `as_ids`, the result may be a read-only view of `nodes`.
+        """
+        s = as_ids(nodes)
         if len(s) and (s[0] < 0 or s[-1] >= self.n):
             raise IndexError("subset contains out-of-range node ids")
         return s
@@ -179,10 +183,7 @@ def connected_components(net: Network, within=None) -> list[np.ndarray]:
     if len(s) == 0:
         return []
     comp = _kernels.component_labels(net.indptr, net.indices, s, net.n)
-    ncomp = int(comp.max()) + 1
-    order = np.argsort(comp, kind="stable")
-    bounds = np.searchsorted(comp[order], np.arange(1, ncomp))
-    return np.split(s[order], bounds)
+    return split_by(comp, s, int(comp.max()) + 1)
 
 
 def load_edge_list(path) -> Network:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .clustering import Cluster, Clustering, all_core
+from .clustering import Cluster, Clustering, all_core, split_by
 from .graph import Network, connected_components
-from .parsing import has_positive_modularity
+from .parsing import modular_components
 
 log = logging.getLogger(__name__)
 
@@ -89,8 +89,8 @@ def ikc(net: Network, k: int) -> Clustering:
         if top < k:
             break
         members = lab.at_least(top)
-        for comp in connected_components(net, members):
-            if has_positive_modularity(net, comp):
-                kept.append(all_core(comp))
+        comp, positive = modular_components(net, members)
+        comps = split_by(comp, members, len(positive))
+        kept.extend(all_core(c) for c, ok in zip(comps, positive) if ok)
         alive = np.setdiff1d(alive, members, assume_unique=True)
     return Clustering(kept, net.n)

@@ -6,18 +6,27 @@ core is connected with positive single-cluster modularity (m-valid),
 and every attached non-core node touches the core at least p times
 (p-valid). `kmp_parse` rebuilds an arbitrary clustering so that every
 output cluster satisfies all three, for any p < k.
+
+The clusters of a clustering are disjoint, so the subgraphs they induce
+form one block-diagonal graph. `validate`, `kmp_parse`, `extract_cores`
+and the bisection rounds therefore handle every cluster in one grouped
+pass: the kernels take each node's cluster as its group and ignore the
+arcs between groups, which gives every cluster exactly the core
+numbers, components and modularity terms of its own subgraph. A node
+found in two clusters makes these functions raise `ValueError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .clustering import Cluster, Clustering, all_core, union_ids
+from .clustering import Cluster, Clustering, all_core, disjoint_concat, split_by
 from .errors import ConfigError
-from .graph import Network, connected_components, induced_edge_count, subset_degrees
+from .graph import Network, induced_edge_count
 
 # -- modularity --------------------------------------------------------
 
@@ -43,16 +52,45 @@ def modularity(net: Network, nodes) -> float:
     return ls / big_l - (ds / (2 * big_l)) ** 2
 
 
-def has_positive_modularity(net: Network, nodes) -> bool:
-    """Exact integer test for modularity(nodes) > 0.
+def _positive(m: int, ls, ds):
+    """Exact test for modularity > 0 from its terms, which may be arrays.
 
     mod > 0 is equivalent to 4 * L * l_s > d_s^2, so the decision never
-    depends on float rounding.
+    depends on float rounding. As l_s <= L and d_s <= 2L, both sides are
+    at most 4 * L^2; int64 holds that below L = 1.5e9, and beyond it the
+    products are taken over Python ints.
     """
-    if net.m == 0:
-        return False
+    if 4 * m * m >= 2**63:
+        ls = np.asarray(ls, dtype=object)
+        ds = np.asarray(ds, dtype=object)
+    return np.asarray(4 * m * ls > ds * ds, dtype=np.bool_)
+
+
+def has_positive_modularity(net: Network, nodes) -> bool:
+    """Exact integer test for modularity(nodes) > 0."""
     ls, ds = modularity_terms(net, nodes)
-    return 4 * int(net.m) * int(ls) > int(ds) * int(ds)
+    return bool(_positive(int(net.m), ls, ds))
+
+
+def modular_components(net: Network, nodes, group=None):
+    """Connected components of the subgraph `nodes` induces, screened.
+
+    `nodes` holds distinct ids. With `group`, one id per node, arcs
+    between groups are ignored, so each component lies in one group.
+    Returns (comp, positive): each node's component id, the ids ordered
+    by first position in `nodes`, and for each component whether its
+    modularity in the whole network is positive.
+    """
+    if not len(nodes):
+        return np.empty(0, np.int64), np.empty(0, np.bool_)
+    lptr, _ = _kernels.extract_local_csr(net.indptr, net.indices, nodes, net.n, group)
+    comp = _kernels.component_labels(net.indptr, net.indices, nodes, net.n, group)
+    ncomp = int(comp.max()) + 1
+    ls = np.zeros(ncomp, np.int64)
+    np.add.at(ls, comp, np.diff(lptr))
+    ds = np.zeros(ncomp, np.int64)
+    np.add.at(ds, comp, net.degrees[nodes])
+    return comp, _positive(int(net.m), ls // 2, ds)
 
 
 # -- validity ----------------------------------------------------------
@@ -129,61 +167,87 @@ def validate(net: Network, clustering: Clustering, k: int, p: int) -> ValidityRe
 
     A cluster with an empty core is vacuously k-valid but can never be
     m-valid; a cluster with no non-core members is vacuously p-valid.
+
+    One grouped pass serves all clusters. The subgraph of all members,
+    with each member's cluster as its group, gives every member its
+    count of core neighbours in its own cluster: core members need k,
+    non-core members p. The cores, grouped the same way, give each
+    core's components and their modularity terms.
     """
-    out = []
-    for c in clustering.clusters:
-        if len(c.core):
-            deg_in_core = subset_degrees(net, c.core)
-            k_valid = bool(deg_in_core.min() >= k)
-            m_valid = len(
-                connected_components(net, c.core)
-            ) == 1 and has_positive_modularity(net, c.core)
-        else:
-            k_valid = True
-            m_valid = False
-        if len(c.noncore):
-            hits = _kernels.count_neighbors_in(
-                net.indptr, net.indices, net.mask(c.core), c.noncore
-            )
-            p_valid = bool(len(c.core) > 0 and hits.min() >= p)
-        else:
-            p_valid = True
-        out.append(
-            ClusterValidity(
-                size=c.size,
-                core_size=len(c.core),
-                k_valid=k_valid,
-                m_valid=m_valid,
-                p_valid=p_valid,
-            )
-        )
+    clusters = clustering.clusters
+    nodes, part = disjoint_concat([a for c in clusters for a in (c.core, c.noncore)])
+    cluster = part // 2
+    is_core = part % 2 == 0
+    lptr, lind = _kernels.extract_local_csr(
+        net.indptr, net.indices, nodes, net.n, cluster
+    )
+    rows = np.repeat(np.arange(len(nodes)), np.diff(lptr))
+    hits = np.bincount(rows[is_core[lind]], minlength=len(nodes))
+
+    def per_cluster(mask):
+        return np.bincount(cluster[mask], minlength=len(clusters))
+
+    core_size = per_cluster(is_core)
+    k_valid = per_cluster(is_core & (hits < k)) == 0
+    p_valid = (per_cluster(~is_core & (hits < p)) == 0) & (
+        (core_size > 0) | (per_cluster(~is_core) == 0)
+    )
+    comp, positive = modular_components(net, nodes[is_core], cluster[is_core])
+    comp_cluster = np.zeros(len(positive), np.int64)
+    comp_cluster[comp] = cluster[is_core]
+    # a core's flag is read only when the core is one component
+    core_positive = np.zeros(len(clusters), np.bool_)
+    core_positive[comp_cluster] = positive
+    m_valid = (np.bincount(comp_cluster, minlength=len(clusters)) == 1) & core_positive
+    out = [
+        ClusterValidity(c.size, len(c.core), bool(kv), bool(mv), bool(pv))
+        for c, kv, mv, pv in zip(clusters, k_valid, m_valid, p_valid)
+    ]
     return ValidityReport(k=k, p=p, n_nodes=net.n, clusters=out)
 
 
 # -- parsing -----------------------------------------------------------
 
 
-def _core_split(net: Network, nodes: np.ndarray, k: int):
-    """Steps shared by kmp_parse and extract_cores.
+class _CoreSplit(NamedTuple):
+    nodes: np.ndarray  # the parts, concatenated
+    part: np.ndarray  # part index of each node
+    owner: np.ndarray  # derived-core index of each node, -1 for none
+    binned: np.ndarray  # whether each node is labelled below k
+    cores: list[np.ndarray]  # the derived cores
+    dropped: np.ndarray  # sorted members of the components failing the screen
 
-    Core-label the induced subgraph, keep the members labeled >= k,
-    and split them into connected components. Components with positive
-    modularity are derived cores; the rest are dropped. Members labeled
-    below k land in the holding bin.
 
-    Returns (derived, dropped, bin_nodes).
+def _core_split(net: Network, parts, k: int) -> _CoreSplit:
+    """Steps shared by kmp_parse, extract_cores and iterative_split.
+
+    For each of the disjoint sorted node arrays `parts`: core-label its
+    induced subgraph, keep the members labeled >= k, and split them into
+    connected components. Components with positive modularity are
+    derived cores; the rest are dropped. Members labeled below k land in
+    the holding bin. One grouped peel, one grouped component pass and
+    one vectorised screen do this for every part at once. The parts
+    share each peel wave, so the count of waves follows the slowest
+    part rather than the sum over parts.
+
+    Derived cores come in part order, and within a part in order of
+    smallest member.
     """
-    labels = _kernels.peel(net.indptr, net.indices, nodes, net.n)
-    keep = nodes[labels >= k]
-    bin_nodes = nodes[labels < k]
-    derived = []
-    dropped = []
-    for comp in connected_components(net, keep):
-        if has_positive_modularity(net, comp):
-            derived.append(comp)
-        else:
-            dropped.append(comp)
-    return derived, dropped, bin_nodes
+    nodes, part = disjoint_concat(parts)
+    labels = _kernels.peel(net.indptr, net.indices, nodes, net.n, part)
+    keep = np.flatnonzero(labels >= k)
+    comp, positive = modular_components(net, nodes[keep], part[keep])
+    core_id = np.cumsum(positive) - 1
+    owner = np.full(len(nodes), -1, np.int64)
+    owner[keep] = np.where(positive[comp], core_id[comp], -1)
+    return _CoreSplit(
+        nodes=nodes,
+        part=part,
+        owner=owner,
+        binned=labels < k,
+        cores=split_by(owner, nodes, int(positive.sum())),
+        dropped=np.sort(nodes[keep[~positive[comp]]]),
+    )
 
 
 def kmp_parse(
@@ -200,6 +264,12 @@ def kmp_parse(
     neighbor count over core size (ties to the core with the smallest
     member id). Unattached bin members become unclustered.
 
+    All input clusters go through one `_core_split`, and the bin members
+    pick their cores in one pass over the grouped subgraph of the input
+    clusters that have a derived core, where a bin member sees only its
+    own cluster's cores. The input clusters must be disjoint; a node in
+    two raises ValueError.
+
     Returns the new clustering plus the nodes of dropped components.
     Dropped nodes never re-attach; they are reported so callers can
     account for every input node.
@@ -208,28 +278,24 @@ def kmp_parse(
         raise ConfigError(f"k must be at least 1, got {k}")
     if not 1 <= p < k:
         raise ConfigError(f"need 1 <= p < k, got p={p} with k={k}")
-    owner = np.full(net.n, -1, dtype=np.int64)
-    out: list[Cluster] = []
-    dropped_all: list[np.ndarray] = []
-    for c in clustering.clusters:
-        nodes = c.nodes
-        if not len(nodes):
-            continue
-        derived, dropped, bin_nodes = _core_split(net, nodes, k)
-        dropped_all.extend(dropped)
-        if not derived:
-            continue
-        core_size = np.fromiter((len(d) for d in derived), np.int64, len(derived))
-        min_id = np.fromiter((d[0] for d in derived), np.int64, len(derived))
-        for i, d in enumerate(derived):
-            owner[d] = i
-        choice = _kernels.best_cluster_per_node(
-            net.indptr, net.indices, owner, core_size, min_id, bin_nodes, p
-        )
-        for i, d in enumerate(derived):
-            out.append(Cluster(core=d, noncore=bin_nodes[choice == i]))
-            owner[d] = -1
-    return Clustering(out, net.n), union_ids(dropped_all)
+    split = _core_split(net, [c.nodes for c in clustering.clusters], k)
+    cores = split.cores
+    # only the members of input clusters with a derived core can attach
+    has_core = np.bincount(split.part[split.owner >= 0], minlength=len(clustering))
+    live = has_core[split.part] > 0
+    nodes = split.nodes[live]
+    lptr, lind = _kernels.extract_local_csr(
+        net.indptr, net.indices, nodes, net.n, split.part[live]
+    )
+    core_size = np.fromiter(map(len, cores), np.int64, len(cores))
+    min_id = np.fromiter((c[0] for c in cores), np.int64, len(cores))
+    cand = np.flatnonzero(split.binned[live])
+    choice = _kernels.best_cluster_per_node(
+        lptr, lind, split.owner[live], core_size, min_id, cand, p
+    )
+    noncore = split_by(choice, nodes[cand], len(cores))
+    out = [Cluster(core=c, noncore=x) for c, x in zip(cores, noncore)]
+    return Clustering(out, net.n), split.dropped
 
 
 def extract_cores(
@@ -240,19 +306,12 @@ def extract_cores(
     Same as kmp_parse minus the re-attachment step: output clusters are
     all-core. Members below the core threshold become unclustered;
     components failing the modularity screen are dropped and reported.
+    The input clusters must be disjoint; a node in two raises ValueError.
     """
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
-    out: list[Cluster] = []
-    dropped_all: list[np.ndarray] = []
-    for c in clustering.clusters:
-        nodes = c.nodes
-        if not len(nodes):
-            continue
-        derived, dropped, _ = _core_split(net, nodes, k)
-        dropped_all.extend(dropped)
-        out.extend(all_core(d) for d in derived)
-    return Clustering(out, net.n), union_ids(dropped_all)
+    split = _core_split(net, [c.nodes for c in clustering.clusters], k)
+    return Clustering([all_core(c) for c in split.cores], net.n), split.dropped
 
 
 def strict_filter(

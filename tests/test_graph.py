@@ -17,6 +17,7 @@ from kmpcluster import (
     write_edge_list,
     write_id_map,
 )
+from kmpcluster.clustering import as_ids
 
 
 def write_lines(tmp_path, name, lines):
@@ -362,3 +363,33 @@ def test_string_ids_resolve():
     net = synth.net_from([(0, 1)])
     assert net.internal_id("0") == 0
     assert net.internal_id("nope") is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ids=st.lists(st.integers(min_value=-3, max_value=45), max_size=30),
+    shape=st.sampled_from(("sorted", "unsorted", "repeated", "empty")),
+)
+def test_subset_and_as_ids_match_np_unique(ids, shape):
+    if shape == "sorted":
+        ids = sorted(set(ids))
+    elif shape == "repeated":
+        ids = ids + ids[:3]
+    elif shape == "empty":
+        ids = []
+    given_ids = np.array(ids, dtype=np.int64)
+    before = given_ids.copy()
+    expect = np.unique(given_ids)
+    got = as_ids(given_ids)
+    assert got.dtype == np.int64 and got.tolist() == expect.tolist()
+    # a result that shares memory with the input must not be writable
+    assert not (np.shares_memory(got, given_ids) and got.flags.writeable)
+    net = Network.from_edges([0], [1], n=40)
+    if len(expect) and (expect[0] < 0 or expect[-1] >= net.n):
+        with pytest.raises(IndexError):
+            net.subset(given_ids)
+    else:
+        got = net.subset(given_ids)
+        assert got.dtype == np.int64 and got.tolist() == expect.tolist()
+        assert not (np.shares_memory(got, given_ids) and got.flags.writeable)
+    assert np.array_equal(given_ids, before)

@@ -3,7 +3,8 @@
 Networks are built from long paths (the frontier peel's worst case),
 stars, cliques, small random pieces and isolated nodes, with ids
 shuffled so the pieces interleave. Each kernel runs on the whole
-network, on no nodes, on one node, or on a random part of it.
+network, on no nodes, on one node, or on a random part of it; the
+grouped kernels also on that part cut into random groups.
 """
 
 from itertools import accumulate
@@ -87,11 +88,39 @@ def test_component_labels_match_oracle_in_smallest_member_order(case):
 
 @settings(max_examples=150, deadline=None)
 @given(case=network_and_subset())
+def test_grouped_peel_and_components_match_oracles_per_group(case):
+    net, sub, rng = case
+    group = rng.integers(0, 4, len(sub))
+    adj = oracles.adjacency(net)
+    labels = _kernels.peel(net.indptr, net.indices, sub, net.n, group)
+    comp = _kernels.component_labels(net.indptr, net.indices, sub, net.n, group)
+    expect_labels = {}
+    expect_comps = []
+    for g in range(4):
+        members = sub[group == g].tolist()
+        expect_labels.update(oracles.core_labels_by_deletion(adj, members))
+        expect_comps += oracles.components_of(adj, members)
+    assert labels.tolist() == [expect_labels[v] for v in sub.tolist()]
+    ncomp = int(comp.max()) + 1 if len(comp) else 0
+    got = [frozenset(sub[comp == c].tolist()) for c in range(ncomp)]
+    assert got == sorted(expect_comps, key=min)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=network_and_subset())
 def test_local_csr_matches_adjacency_sets(case):
-    net, sub, _ = case
+    net, sub, rng = case
     lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, sub, net.n)
     rows = local_adjacency(oracles.adjacency(net), sub)
     assert lptr.dtype == np.int64 and lind.dtype == np.int64
+    assert lptr.tolist() == [0, *accumulate(len(r) for r in rows)]
+    assert lind.tolist() == [j for r in rows for j in r]
+
+    group = rng.integers(0, 3, len(sub))
+    lptr, lind = _kernels.extract_local_csr(
+        net.indptr, net.indices, sub, net.n, group
+    )
+    rows = [[j for j in r if group[j] == group[i]] for i, r in enumerate(rows)]
     assert lptr.tolist() == [0, *accumulate(len(r) for r in rows)]
     assert lind.tolist() == [j for r in rows for j in r]
 

@@ -11,6 +11,7 @@ from kmpcluster import (
     Cluster,
     Clustering,
     ConfigError,
+    Network,
     all_core,
     extract_cores,
     has_positive_modularity,
@@ -220,6 +221,104 @@ def test_kmp_parse_property_fuzz(data):
     k, p = data.draw(st.sampled_from([(5, 2), (3, 1), (4, 3)]))
     parsed, _ = kmp_parse(net, clustering, k, p)
     assert validate(net, parsed, k, p).all_kmp_valid()
+
+
+@st.composite
+def clustered_network(draw):
+    """(net, clustering, k, p) for the grouped passes.
+
+    Planted (k+1)- to (k+4)-cliques mostly share a cluster each, so many
+    clusters have a derived core. Satellite nodes touch p-1 to p+1
+    members of one clique and sit in a random cluster, often another
+    clique's, so some bin members have p neighbours in a core of a
+    cluster they are not in. Up to 24 more clusters of loose nodes have
+    no derived core, and random edges add noise. Each cluster's members
+    are cut at random into core and non-core, so some cores are empty.
+    Node ids are shuffled so the clusters interleave.
+    """
+    k = draw(st.integers(min_value=3, max_value=5))
+    p = draw(st.integers(min_value=1, max_value=k - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    edges, cliques, n = [], [], 0
+    for _ in range(int(rng.integers(1, 7))):
+        size = int(rng.integers(k + 1, k + 5))
+        cliques.append(np.arange(n, n + size))
+        edges += synth.clique_edges(range(n, n + size))
+        n += size
+    for _ in range(int(rng.integers(0, 10))):
+        clique = cliques[rng.integers(len(cliques))]
+        count = min(len(clique), int(rng.integers(max(1, p - 1), p + 2)))
+        edges += [(n, int(v)) for v in rng.choice(clique, count, replace=False)]
+        n += 1
+    n += int(rng.integers(0, 40))
+    noise = rng.integers(0, n, (int(rng.integers(0, n)), 2))
+    edges += [tuple(e) for e in noise.tolist()]
+    n_clusters = len(cliques) + int(rng.integers(0, 25))
+    label = rng.integers(-1, n_clusters, n)
+    for i, clique in enumerate(cliques):
+        label[clique[rng.random(len(clique)) < 0.85]] = i
+    perm = rng.permutation(n)
+    ends = perm[np.array(edges, dtype=np.int64)]
+    net = Network.from_edges(ends[:, 0], ends[:, 1], n=n)
+    clusters = []
+    for i in range(n_clusters):
+        members = rng.permutation(perm[label == i])
+        cut = int(rng.integers(0, len(members) + 1))
+        clusters.append(Cluster(core=members[:cut], noncore=members[cut:]))
+    return net, Clustering(clusters, n), k, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=clustered_network())
+def test_grouped_parse_equals_union_of_one_cluster_parses(case):
+    net, clustering, k, p = case
+    alone = [Clustering([c], net.n) for c in clustering.clusters]
+    for parse, args in ((kmp_parse, (k, p)), (extract_cores, (k,))):
+        out, dropped = parse(net, clustering, *args)
+        singles = [parse(net, c, *args) for c in alone]
+        union = Clustering([c for s, _ in singles for c in s.clusters], net.n)
+        assert out.same_clusters(union)
+        assert dropped.tolist() == sorted(v for _, d in singles for v in d.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=clustered_network())
+def test_validate_matches_oracle_on_many_clusters(case):
+    net, clustering, k, p = case
+    for checked in (clustering, kmp_parse(net, clustering, k, p)[0]):
+        report = validate(net, checked, k, p)
+        assert len(report.clusters) == len(checked)
+        for c, cv in zip(checked.clusters, report.clusters):
+            assert (cv.size, cv.core_size) == (c.size, len(c.core))
+            expect = oracles.validity_flags(net, c.core, c.noncore, k, p)
+            assert (cv.k_valid, cv.m_valid, cv.p_valid) == expect
+
+
+def test_modularity_screen_is_exact_past_int64():
+    # with L = 2^31, 4 * L * l_s and d_s^2 reach 2^64, past int64
+    from kmpcluster.parsing import _positive
+
+    m = 2**31
+    ls = np.array([m - 1, m - 1, m // 2, 10, 0], dtype=np.int64)
+    ds = np.array([2 * m - 3, 2 * m - 1, m, 2 * m, 0], dtype=np.int64)
+    expect = [4 * m * int(a) > int(d) ** 2 for a, d in zip(ls, ds)]
+    assert expect == [True, False, True, False, False]
+    got = _positive(m, ls, ds)
+    assert got.dtype == np.bool_ and got.tolist() == expect
+
+
+def test_overlapping_clusters_are_rejected():
+    edges = synth.clique_edges(range(8)) + synth.cycle_edges(range(8, 20))
+    net = synth.net_from(edges)
+    overlapping = Clustering([all_core(range(5)), all_core(range(4, 8))], net.n)
+    calls = (
+        lambda: kmp_parse(net, overlapping, 3, 2),
+        lambda: extract_cores(net, overlapping, 3),
+        lambda: validate(net, overlapping, 3, 2),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="1 nodes appear in more than one"):
+            call()
 
 
 def test_strict_filter_keeps_only_valid():
