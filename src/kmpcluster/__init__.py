@@ -11,6 +11,7 @@ from .augment import augment
 from .bisection import (
     BisectConfig,
     bipartition,
+    bipartition_many,
     iterative_split,
     normalized_cut,
     recursive_split,
@@ -81,6 +82,7 @@ __all__ = [
     "always_coclustered",
     "augment",
     "bipartition",
+    "bipartition_many",
     "classical_mds",
     "connected_components",
     "core_labels",

@@ -4,18 +4,20 @@ Every function here takes plain numpy arrays; nothing in this module
 knows about the Network class. Callers pass (indptr, indices) plus
 whatever mask or output arrays the kernel needs.
 
-Eight kernels are whole-array numpy: `subset_degrees`,
+Nine kernels are whole-array numpy: `subset_degrees`,
 `count_neighbors_in`, `induced_edges`, `cut_counts`, `extract_local_csr`,
-`matvec`, `peel` and `component_labels`. The other three,
-`sweep_objective`, `refine_split` and `best_cluster_per_node`, are
-loops whose steps depend on the steps before them. Those three are
-compiled with numba when it is installed and KMP_NO_NUMBA is unset;
-otherwise they run as ordinary Python and give identical results.
+`matvec`, `peel`, `component_labels` (with `local_components`, its
+step on a local CSR) and `sweep_objective`. The only loops are
+`refine_split` and `best_cluster_per_node`, whose steps depend on the
+steps before them. Those two are compiled with numba when it is
+installed and KMP_NO_NUMBA is unset; otherwise they run as ordinary
+Python and give identical results.
 
 `extract_local_csr`, `peel` and `component_labels` take an optional
 trailing `group` array, one id per node of `sub`. Arcs between groups
 are then ignored, so one call answers for many disjoint subgraphs at
-once, each exactly as if it were called alone.
+once, each exactly as if it were called alone. `matvec` and
+`sweep_objective` work on such a block-diagonal local CSR as it is.
 """
 
 from __future__ import annotations
@@ -128,13 +130,22 @@ def component_labels(indptr, indices, sub, n, group=None):
     Ids are dense from 0 and ordered by each component's first position
     in `sub`, which is its smallest member when `sub` is sorted. With
     `group`, arcs between groups are ignored, so no component spans two
-    groups. Each round hooks every root to the smallest root across its
-    arcs, then jumps pointers until every node points at a root; a
-    component ends up pointing at its smallest local index.
+    groups.
     """
-    lptr, lind = extract_local_csr(indptr, indices, sub, n, group)
-    rows = np.repeat(np.arange(len(sub)), np.diff(lptr))
-    parent = np.arange(len(sub))
+    return local_components(*extract_local_csr(indptr, indices, sub, n, group))
+
+
+def local_components(lptr, lind):
+    """Connected component id for each node of a local CSR.
+
+    Ids are dense from 0 and ordered by smallest local id. Each round
+    hooks every root to the smallest root across its arcs, then jumps
+    pointers until every node points at a root; a component ends up
+    pointing at its smallest local id.
+    """
+    nloc = len(lptr) - 1
+    rows = np.repeat(np.arange(nloc), np.diff(lptr))
+    parent = np.arange(nloc)
     while True:
         pr = parent[rows]
         pc = parent[lind]
@@ -203,37 +214,39 @@ def cut_counts(indptr, indices, side, nodes):
     return cut2 // 2, int0 // 2, int1 // 2
 
 
-@_kernel
-def sweep_objective(lptr, lind, order, m_local):
-    """Normalized cut of every prefix split along `order`.
+def sweep_objective(lptr, lind, order, starts):
+    """Normalized cut of every prefix split along `order`, for many blocks.
 
-    Nodes are added one at a time to side 0; after each addition the
-    objective for the split (first t nodes | rest) is recorded. Entry t-1
-    of the result corresponds to prefix length t, for t in 1..n-1.
+    (lptr, lind) is a block-diagonal local CSR; block g holds the local
+    ids starts[g] to starts[g + 1] - 1, and `order` lists each block's
+    ids, block after block, in the order they join side 0. Entry j is
+    the objective of splitting j's block into the ids up to and
+    including order[j] and the rest; the last entry of a block, whose
+    side 1 is empty, is inf.
+
+    Each node's count of neighbours placed before it is a bincount over
+    the arcs that point back along the order; per-block running sums of
+    these counts and of the degrees give every prefix's internal and cut
+    edge counts as exact integers. The objective is then cut / l0 +
+    cut / l1 in float64, the arithmetic of a node-by-node sweep.
     """
-    nloc = len(order)
-    placed = np.zeros(nloc, np.uint8)
-    vals = np.empty(nloc - 1, np.float64)
-    cut = 0
-    i0 = 0
-    for t in range(nloc - 1):
-        v = order[t]
-        a = 0
-        for e in range(lptr[v], lptr[v + 1]):
-            if placed[lind[e]]:
-                a += 1
-        deg = lptr[v + 1] - lptr[v]
-        placed[v] = 1
-        i0 += a
-        cut += deg - 2 * a
-        i1 = m_local - i0 - cut
-        l0 = i0 + cut
-        l1 = i1 + cut
-        if l0 == 0 or l1 == 0:
-            vals[t] = np.inf
-        else:
-            vals[t] = cut / l0 + cut / l1
-    return vals
+    n = len(order)
+    pos = np.empty(n, np.int64)
+    pos[order] = np.arange(n)
+    rows = np.repeat(np.arange(n), np.diff(lptr))
+    back = np.bincount(rows[pos[lind] < pos[rows]], minlength=n)[order]
+    sizes = np.diff(starts)
+
+    def running(v):
+        total = np.concatenate([[0], np.cumsum(v)])
+        return total[1:] - np.repeat(total[starts[:-1]], sizes)
+
+    i0 = running(back)
+    cut = running(np.diff(lptr)[order] - 2 * back)
+    l0 = i0 + cut
+    l1 = np.repeat((lptr[starts[1:]] - lptr[starts[:-1]]) // 2, sizes) - i0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((l0 > 0) & (l1 > 0), cut / l0 + cut / l1, np.inf)
 
 
 @_kernel

@@ -2,9 +2,13 @@
 
 Thread count comes from the KMP_THREADS environment variable (default
 1). Results always come back in submission order, so outputs do not
-depend on how many workers ran. Threads only pay off when numba
-compiles the loop kernels, which then release the GIL; interpreted
-loops hold it, so without numba every map runs serially.
+depend on how many workers ran. The one map is stage 2's per-cluster
+finish: the cut of each spectral ordering, the exact enumeration of
+small clusters and the local-search refinement. The power iterations
+and sweeps before it run once for all clusters and are not mapped.
+Threads only pay off when numba compiles the loop kernels, which then
+release the GIL; interpreted loops hold it, so without numba every map
+runs serially.
 """
 
 from __future__ import annotations

@@ -83,8 +83,10 @@ def modular_components(net: Network, nodes, group=None):
     """
     if not len(nodes):
         return np.empty(0, np.int64), np.empty(0, np.bool_)
-    lptr, _ = _kernels.extract_local_csr(net.indptr, net.indices, nodes, net.n, group)
-    comp = _kernels.component_labels(net.indptr, net.indices, nodes, net.n, group)
+    lptr, lind = _kernels.extract_local_csr(
+        net.indptr, net.indices, nodes, net.n, group
+    )
+    comp = _kernels.local_components(lptr, lind)
     ncomp = int(comp.max()) + 1
     ls = np.zeros(ncomp, np.int64)
     np.add.at(ls, comp, np.diff(lptr))

@@ -3,13 +3,19 @@
 Expected values in the test suite come from these, never from the
 library under test. Everything favors the most literal possible
 formulation: dicts, sets, and Fraction arithmetic so no comparison
-hinges on float rounding.
+hinges on float rounding. The one exception is the one-cluster stage-2
+bisection at the end, a bit-for-bit reference for the batched one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
+
+from kmpcluster import _kernels
+from kmpcluster.bisection import _exact_bipartition
 
 
 def adjacency(net) -> dict[int, set[int]]:
@@ -157,3 +163,126 @@ def assign_by_scan(net, cores: list[set], candidates, p, order=None):
         if best is not None:
             result[int(x)] = best
     return result
+
+
+# -- stage 2, one cluster at a time -----------------------------------------
+#
+# The per-cluster spectral bisection as it stood before clusters were
+# bisected in batches, kept verbatim as the reference the batched path
+# must reproduce bit for bit. The exact enumeration, the local CSR, the
+# matrix-vector product and the local-search refinement it calls are the
+# library's own: batching does not change them.
+
+_EXACT_LIMIT = 15
+_SPECTRAL_SEED = 20240917
+_SPECTRAL_ITERS = 100
+
+
+def sweep_objective(lptr, lind, order, m_local):
+    """Normalized cut of every prefix split along `order`.
+
+    Nodes are added one at a time to side 0; after each addition the
+    objective for the split (first t nodes | rest) is recorded. Entry t-1
+    of the result corresponds to prefix length t, for t in 1..n-1.
+    """
+    nloc = len(order)
+    placed = np.zeros(nloc, np.uint8)
+    vals = np.empty(nloc - 1, np.float64)
+    cut = 0
+    i0 = 0
+    for t in range(nloc - 1):
+        v = order[t]
+        a = 0
+        for e in range(lptr[v], lptr[v + 1]):
+            if placed[lind[e]]:
+                a += 1
+        deg = lptr[v + 1] - lptr[v]
+        placed[v] = 1
+        i0 += a
+        cut += deg - 2 * a
+        i1 = m_local - i0 - cut
+        l0 = i0 + cut
+        l1 = i1 + cut
+        if l0 == 0 or l1 == 0:
+            vals[t] = np.inf
+        else:
+            vals[t] = cut / l0 + cut / l1
+    return vals
+
+
+def spectral_order(lptr, lind):
+    """Order local nodes by a diffusion eigenvector estimate.
+
+    Power iteration on the lazy walk (I + D^-1 A) / 2, with the
+    degree-weighted constant vector projected out each step. The start
+    vector comes from a fixed-seed generator, so the result depends only
+    on the subgraph. Ties in the final coordinates break by local id.
+    """
+    nloc = len(lptr) - 1
+    deg = np.diff(lptr).astype(np.float64)
+    w = deg / deg.sum()
+    rng = np.random.default_rng(_SPECTRAL_SEED)
+    x = rng.standard_normal(nloc)
+    x -= w @ x
+    tmp = np.empty(nloc)
+    safe = np.maximum(deg, 1.0)
+    linked = deg > 0
+    rows = np.repeat(np.arange(nloc), np.diff(lptr))
+    for _ in range(_SPECTRAL_ITERS):
+        _kernels.matvec(lptr, lind, x, tmp, rows)
+        y = np.where(linked, 0.5 * x + 0.5 * tmp / safe, x)
+        y -= w @ y
+        nrm = np.linalg.norm(y)
+        if nrm < 1e-300:
+            break
+        x = y / nrm
+    return np.argsort(x, kind="stable")
+
+
+def bipartition(net, nodes, cfg):
+    """Split one cluster in two, minimizing the normalized cut.
+
+    Clusters of at most 15 nodes are solved exactly. Larger clusters are
+    cut at the best prefix of a spectral ordering, then refined by up to
+    cfg.local_search_iters passes of strictly-improving single-node
+    moves. The part containing the smallest node id comes back first.
+    """
+    nodes = net.subset(nodes)
+    if len(nodes) < 2:
+        raise ValueError("cannot bipartition fewer than 2 nodes")
+    lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, nodes, net.n)
+    m_local = len(lind) // 2
+    if m_local == 0:
+        return nodes[:1], nodes[1:]
+    if len(nodes) <= _EXACT_LIMIT:
+        p0, p1 = _exact_bipartition(nodes, lptr, lind, m_local)
+    else:
+        order = spectral_order(lptr, lind)
+        vals = sweep_objective(lptr, lind, order, m_local)
+        t = int(np.argmin(vals)) + 1
+        side = np.ones(len(nodes), dtype=np.int8)
+        side[order[:t]] = 0
+        if cfg.local_search_iters > 0:
+            rows = np.repeat(np.arange(len(nodes)), np.diff(lptr))
+            sr = side[rows]
+            sc = side[lind]
+            cut = int((sr != sc).sum()) // 2
+            i0 = int(((sr == 0) & (sc == 0)).sum()) // 2
+            i1 = m_local - i0 - cut
+            _kernels.refine_split(
+                lptr,
+                lind,
+                side,
+                cut,
+                i0,
+                i1,
+                int((side == 0).sum()),
+                int((side == 1).sum()),
+                cfg.local_search_iters,
+                cfg.local_search_iters,
+            )
+        p0 = nodes[side == 0]
+        p1 = nodes[side == 1]
+    if p1[0] < p0[0]:
+        p0, p1 = p1, p0
+    return p0, p1

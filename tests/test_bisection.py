@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import synth
@@ -10,14 +12,18 @@ from kmpcluster import (
     BisectConfig,
     Clustering,
     ConfigError,
+    Network,
     all_core,
     bipartition,
+    bipartition_many,
     has_positive_modularity,
     iterative_split,
     normalized_cut,
     recursive_split,
     subset_degrees,
 )
+from kmpcluster import _kernels, bisection
+from kmpcluster.clustering import disjoint_concat
 
 
 def two_cliques_bridged(size, bridges=1):
@@ -219,6 +225,211 @@ def test_bipartition_local_search_keeps_clean_bridge_cut():
     p0, p1 = bipartition(net, range(16), cfg)
     assert p0.tolist() == list(range(8))
     assert p1.tolist() == list(range(8, 16))
+
+
+# ------------------------------------------------------------- bipartition_many
+
+
+@st.composite
+def block_case(draw):
+    """(net, clusters): disjoint clusters of every kind stage 2 meets.
+
+    Kinds: up to 15 nodes (enumerated), edgeless, two pieces with no
+    edge between them, a graph with isolated members, and a plain
+    random graph of more than 15 nodes. Noise edges join clusters to one
+    another and to nodes outside every cluster, and the ids are shuffled
+    so clusters interleave.
+    """
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["small", "edgeless", "pieces", "isolated", "large"]),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    us, vs, clusters, n = [], [], [], 0
+
+    def gnp(ids, prob):
+        iu = np.triu_indices(len(ids), k=1)
+        keep = rng.random(len(iu[0])) < prob
+        us.append(ids[iu[0][keep]])
+        vs.append(ids[iu[1][keep]])
+
+    for kind in kinds:
+        size = int(rng.integers(2, 16) if kind == "small" else rng.integers(16, 40))
+        ids = np.arange(n, n + size)
+        n += size
+        prob = rng.uniform(0.1, 0.7)
+        if kind in ("small", "large"):
+            gnp(ids, prob)
+        elif kind == "pieces":
+            cut = int(rng.integers(1, size))
+            gnp(ids[:cut], prob)
+            gnp(ids[cut:], prob)
+        elif kind == "isolated":
+            gnp(ids[: int(rng.integers(2, size - 1))], prob)
+        clusters.append(ids)
+    n += int(rng.integers(2, 8))
+    noise = int(rng.integers(1, 3 * len(kinds) + 2))
+    us.append(rng.integers(0, n, noise))
+    vs.append(rng.integers(0, n, noise))
+    u, v = np.concatenate(us), np.concatenate(vs)
+    perm = rng.permutation(n)
+    net = Network.from_edges(perm[u[u != v]], perm[v[u != v]], n=n)
+    return net, [perm[c] for c in clusters]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=block_case(), iters=st.sampled_from([0, 3, 200]))
+def test_bipartition_many_matches_one_cluster_oracle(case, iters):
+    net, clusters = case
+    cfg = BisectConfig(k=2, local_search_iters=iters)
+    got = bipartition_many(net, clusters, cfg)
+    assert len(got) == len(clusters)
+    for nodes, (p0, p1) in zip(clusters, got):
+        q0, q1 = oracles.bipartition(net, nodes, cfg)
+        assert p0.tobytes() == q0.tobytes()
+        assert p1.tobytes() == q1.tobytes()
+
+
+def _block_csr(net, parts):
+    nodes, block = disjoint_concat(parts)
+    lptr, lind = _kernels.extract_local_csr(
+        net.indptr, net.indices, nodes, net.n, block
+    )
+    starts = np.concatenate([[0], np.cumsum([len(p) for p in parts])])
+    return lptr, lind, starts
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=block_case())
+def test_spectral_orders_and_sweeps_match_one_block_oracle(case):
+    net, clusters = case
+    parts = [net.subset(c) for c in clusters]
+    lptr, lind, starts = _block_csr(net, parts)
+    order = bisection._spectral_orders(lptr, lind, starts)
+    vals = _kernels.sweep_objective(lptr, lind, order, starts)
+    rng = np.random.default_rng(len(order))
+    shuffled = np.concatenate(
+        [s + rng.permutation(e - s) for s, e in zip(starts[:-1], starts[1:])]
+    )
+    shuffled_vals = _kernels.sweep_objective(lptr, lind, shuffled, starts)
+    for nodes, s, e in zip(parts, starts[:-1], starts[1:]):
+        lp, li = _kernels.extract_local_csr(net.indptr, net.indices, nodes, net.n)
+        m_local = len(li) // 2
+        assert vals[e - 1] == np.inf
+        for seq, got in ((order, vals), (shuffled, shuffled_vals)):
+            want = oracles.sweep_objective(lp, li, seq[s:e] - s, m_local)
+            assert got[s : e - 1].tobytes() == want.tobytes()
+        if m_local:
+            want = oracles.spectral_order(lp, li)
+            assert (order[s:e] - s).tobytes() == want.tobytes()
+
+
+def test_a_vanishing_block_stops_alone(monkeypatch):
+    # with this product every row of degree 4 gives y = 0 exactly, so the
+    # 4-regular ring's iterate vanishes at the first step while the
+    # random graph's goes on; each block must end as it would alone
+    real = _kernels.matvec
+
+    def vanishing(lptr, lind, x, out, rows=None):
+        real(lptr, lind, x, out, rows)
+        out[:] = np.where(np.diff(lptr) == 4, -4.0 * x, out)
+
+    monkeypatch.setattr(_kernels, "matvec", vanishing)
+    rng = np.random.default_rng(5)
+    ring = synth.circulant_edges(20, (1, 2))
+    iu = np.triu_indices(24, k=1)
+    keep = rng.random(len(iu[0])) < 0.3
+    edges = ring + list(zip(iu[0][keep] + 20, iu[1][keep] + 20))
+    net = synth.net_from(edges)
+    parts = [np.arange(20), np.arange(20, 44)]
+    lptr, lind, starts = _block_csr(net, parts)
+    order = bisection._spectral_orders(lptr, lind, starts)
+    for nodes, s, e in zip(parts, starts[:-1], starts[1:]):
+        lp, li = _kernels.extract_local_csr(net.indptr, net.indices, nodes, net.n)
+        want = oracles.spectral_order(lp, li)
+        assert (order[s:e] - s).tobytes() == want.tobytes()
+    cfg = BisectConfig(k=2)
+    for got, nodes in zip(bipartition_many(net, parts, cfg), parts):
+        want = oracles.bipartition(net, nodes, cfg)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_standard_normal_draws_are_prefixes_of_longer_draws():
+    # a block of n nodes starts from the first n of one shared draw
+    seed = bisection._SPECTRAL_SEED
+    full = np.random.default_rng(seed).standard_normal(700)
+    for n in range(1, 701):
+        alone = np.random.default_rng(seed).standard_normal(n)
+        assert alone.tobytes() == full[:n].tobytes()
+
+
+def test_dot_on_a_view_matches_dot_on_a_copy():
+    # each block's scalars are BLAS dots on views into one long vector
+    rng = np.random.default_rng(20240917)
+    a = rng.standard_normal(3000)
+    b = rng.standard_normal(3000)
+    for _ in range(3000):
+        s = int(rng.integers(0, 2990))
+        e = int(rng.integers(s + 1, 3001))
+        view = a[s:e].dot(b[s:e])
+        copy = a[s:e].copy() @ b[s:e].copy()
+        assert view.tobytes() == copy.tobytes()
+        y = b[s:e].copy()
+        assert np.sqrt(y @ y).tobytes() == np.linalg.norm(y).tobytes()
+
+
+def test_bipartition_many_rejects_overlapping_clusters():
+    net = two_cliques_bridged(5)
+    with pytest.raises(ValueError, match="1 nodes appear in more than one"):
+        bipartition_many(net, [range(0, 6), range(5, 10)], CFG5)
+    clustering = Clustering([all_core(range(0, 6)), all_core(range(5, 10))], net.n)
+    with pytest.raises(ValueError, match="more than one"):
+        recursive_split(net, clustering, CFG5)
+
+
+def test_bipartition_many_rejects_a_tiny_cluster_among_others():
+    net = two_cliques_bridged(5)
+    with pytest.raises(ValueError, match="fewer than 2 nodes"):
+        bipartition_many(net, [range(5), [7]], CFG5)
+    with pytest.raises(ValueError, match="fewer than 2 nodes"):
+        bipartition_many(net, [range(5), []], CFG5)
+    assert bipartition_many(net, [], CFG5) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=block_case(), k=st.integers(min_value=1, max_value=4))
+def test_grouped_quality_screen_matches_one_part_checks(case, k):
+    net, clusters = case
+    rng = np.random.default_rng(k)
+    parts = [np.empty(0, np.int64)]
+    for c in clusters:
+        cut = int(rng.integers(0, len(c)))
+        parts += [np.sort(c[:cut]), np.sort(c[cut:])]
+    want = [
+        len(p) > 0
+        and subset_degrees(net, p).min() >= k
+        and has_positive_modularity(net, p)
+        for p in parts
+    ]
+    assert bisection._qualifying(net, parts, k).tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=block_case(), k=st.integers(min_value=2, max_value=4))
+def test_drivers_on_many_clusters_equal_union_of_one_cluster_runs(case, k):
+    net, clusters = case
+    cfg = BisectConfig(k=k, max_rounds=4)
+    together = Clustering([all_core(c) for c in clusters], net.n)
+    for driver in (recursive_split, iterative_split):
+        result, dead = driver(net, together, cfg)
+        alone = [driver(net, single_cluster(net, c), cfg) for c in clusters]
+        cores = [c.core for r, _ in alone for c in r.clusters]
+        want = Clustering([all_core(c) for c in cores], net.n)
+        assert result.same_clusters(want)
+        assert dead.tolist() == np.sort(np.concatenate([d for _, d in alone])).tolist()
 
 
 def test_config_validation():
