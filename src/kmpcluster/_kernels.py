@@ -4,14 +4,15 @@ Every function here takes plain numpy arrays; nothing in this module
 knows about the Network class. Callers pass (indptr, indices) plus
 whatever mask or output arrays the kernel needs.
 
-Nine kernels are whole-array numpy: `subset_degrees`,
+Eleven kernels are whole-array numpy: `subset_degrees`,
 `count_neighbors_in`, `induced_edges`, `cut_counts`, `extract_local_csr`,
-`matvec`, `peel`, `component_labels` (with `local_components`, its
-step on a local CSR) and `sweep_objective`. The only loops are
-`refine_split` and `best_cluster_per_node`, whose steps depend on the
-steps before them. Those two are compiled with numba when it is
-installed and KMP_NO_NUMBA is unset; otherwise they run as ordinary
-Python and give identical results.
+`matvec`, `peel`, `settle` (which keeps core numbers exact as nodes are
+deleted), `component_labels` (with `local_components`, its step on a
+local CSR), `sweep_objective` and `best_cluster_per_node`. The only
+loop is `refine_split`, whose steps depend on the steps before it. It
+is compiled with numba when that is installed and KMP_NO_NUMBA is
+unset; otherwise it runs as ordinary Python and gives identical
+results.
 
 `extract_local_csr`, `peel` and `component_labels` take an optional
 trailing `group` array, one id per node of `sub`. Arcs between groups
@@ -51,8 +52,8 @@ def _gather(indptr, sub):
     index into `sub` of each arc's row."""
     start = indptr[sub]
     lens = indptr[sub + 1] - start
-    rows = np.repeat(np.arange(len(sub)), lens)
-    arcs = np.repeat(start - (np.cumsum(lens) - lens), lens)
+    rows = np.arange(len(sub)).repeat(lens)
+    arcs = (start - (lens.cumsum() - lens)).repeat(lens)
     arcs += np.arange(len(rows))
     return arcs, rows
 
@@ -122,6 +123,58 @@ def peel(indptr, indices, sub, n, group=None):
         live = live[alive[live]]
         k += 1
     return labels
+
+
+def settle(indptr, indices, lab, sup, violators, mark):
+    """Lower upper bounds on core numbers until they are core numbers.
+
+    `lab` holds an upper bound on every node's core number, 0 for a
+    deleted node, and `sup[v]` the count of v's neighbours u with
+    lab[u] >= lab[v], exact wherever lab[v] > 0. `violators` lists, once
+    each, the nodes with sup < lab. `mark` is an all-False bool scratch
+    array over all nodes, all-False again on return. Both `lab` and
+    `sup` are updated in place.
+
+    In synchronous waves, each violator takes its h-index over its
+    neighbours' labels, capped at its own label; it had fewer than
+    lab[v] neighbours labelled lab[v] or more, so it strictly drops. A
+    neighbour u outside the wave loses one support per violator whose
+    label went from at least lab[u] to below it; the violators recount
+    theirs from the same arcs. The next wave is the touched nodes that
+    now violate. When none does, every node has lab[v] neighbours
+    labelled at least lab[v], so each label is at most the core number;
+    and the h-index of upper bounds is an upper bound, so each label is
+    at least the core number too.
+    """
+    v = violators
+    while len(v):
+        arcs, rows = _gather(indptr, v)
+        nbr = indices[arcs]
+        old = lab[v]
+        nl = lab[nbr]
+        old_r = old[rows]
+        # h-index: sort each row's capped labels in descending order; it
+        # is the count of positions i (from 0) holding a label above i
+        span = int(old.max()) + 1
+        key = rows * span
+        cap = key - np.minimum(nl, old_r)
+        cap.sort()
+        cap = key - cap
+        rank = np.arange(len(rows)) - rows.searchsorted(rows)
+        new = np.bincount(rows[cap > rank], minlength=len(v))
+        new_r = new[rows]
+        mark[v] = True
+        hit = (new_r < nl) & (nl <= old_r) & ~mark[nbr]
+        mark[v] = False
+        lab[v] = new
+        sup[v] = np.bincount(rows[lab[nbr] >= new_r], minlength=len(v))
+        u = nbr[hit]
+        u.sort()
+        np.subtract.at(sup, u, 1)
+        u = u[sup[u] < lab[u]]
+        once = np.ones(len(u), np.bool_)
+        np.not_equal(u[1:], u[:-1], out=once[1:])
+        v = np.concatenate((v[sup[v] < new], u[once]))
 
 
 def component_labels(indptr, indices, sub, n, group=None):
@@ -317,54 +370,35 @@ def refine_split(lptr, lind, side, cut, i0, i1, n0, n1, max_sweeps, max_moves):
     return cut, i0, i1
 
 
-@_kernel
 def best_cluster_per_node(indptr, indices, owner, core_size, min_id, cand, p):
     """Pick the attachment target for each candidate node.
 
     `owner[u]` is the cluster index of u if u is a core node, else -1.
     A candidate qualifies for cluster c when it has >= p neighbors in
     c's core; among qualifying clusters the one with the largest
-    count/core_size ratio wins, ties broken by smaller `min_id`. Ratio
-    comparisons use integer cross-products, so there is no float
-    tie ambiguity. Returns the chosen cluster index per candidate
-    (-1 when none qualifies).
+    count/core_size ratio wins, ties broken by smaller `min_id`. Returns
+    the chosen cluster index per candidate (-1 when none qualifies).
+
+    The (candidate, cluster) pairs are counted over the candidates' arcs
+    at once, and each candidate's pairs ranked by one lexsort. Ratios
+    are compared as floats, which is exact here: each is at most 1,
+    division is correctly rounded, and two different fractions with
+    denominators below 2**26 differ by more than 2**-52, more than
+    their rounding errors together.
     """
     ncl = len(core_size)
-    count = np.zeros(ncl, np.int64)
-    seen = np.full(ncl, -1, np.int64)
-    done = np.full(ncl, -1, np.int64)
+    assert not ncl or core_size.max() < 2**26
+    arcs, rows = _gather(indptr, cand)
+    c = owner[indices[arcs]]
+    keep = c >= 0
+    pair, cnt = np.unique(rows[keep] * ncl + c[keep], return_counts=True)
+    keep = cnt >= p
+    row, c = np.divmod(pair[keep], ncl)
+    cnt = cnt[keep]
+    best = np.lexsort((min_id[c], -cnt / core_size[c], row))
+    row, c = row[best], c[best]
+    first = np.ones(len(row), np.bool_)
+    np.not_equal(row[1:], row[:-1], out=first[1:])
     out = np.full(len(cand), -1, np.int64)
-    for ci in range(len(cand)):
-        x = cand[ci]
-        for e in range(indptr[x], indptr[x + 1]):
-            c = owner[indices[e]]
-            if c < 0:
-                continue
-            if seen[c] != ci:
-                seen[c] = ci
-                count[c] = 0
-            count[c] += 1
-        best = -1
-        bnum = 0
-        bden = 1
-        for e in range(indptr[x], indptr[x + 1]):
-            c = owner[indices[e]]
-            if c < 0 or done[c] == ci:
-                continue
-            done[c] = ci
-            cnt = count[c]
-            if cnt < p:
-                continue
-            if best < 0:
-                take = True
-            else:
-                lhs = cnt * bden
-                rhs = bnum * core_size[c]
-                take = lhs > rhs or (lhs == rhs and min_id[c] < min_id[best])
-            if take:
-                best = c
-                bnum = cnt
-                bden = core_size[c]
-        out[ci] = best
+    out[row[first]] = c[first]
     return out
-

@@ -74,7 +74,11 @@ class Cluster:
     def __post_init__(self):
         self.core = as_ids(self.core)
         self.noncore = as_ids(self.noncore)
-        if len(np.intersect1d(self.core, self.noncore)):
+        if (
+            len(self.core)
+            and len(self.noncore)
+            and len(np.intersect1d(self.core, self.noncore, assume_unique=True))
+        ):
             raise ValueError("core and non-core overlap")
 
     @property

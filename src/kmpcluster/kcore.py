@@ -2,8 +2,14 @@
 
 The core label (coreness) of a node is the largest k such that the node
 survives repeated deletion of all nodes with fewer than k remaining
-neighbors. Labels here are always computed within an induced subgraph,
-which for the iterative loop shrinks as top cores are carved off.
+neighbors. Labels here are always computed within an induced subgraph.
+
+The iterative loop peels the network once and then maintains the labels
+as it carves top cores off. Deleting nodes can only lower the remaining
+labels, and only near the deleted nodes, so each round lowers the
+labels that lost support with the h-index operator, which converges to
+the core numbers from any upper bound (Lü et al. 2016, Nat. Commun.
+7:10168; Montresor et al. 2013, IEEE TPDS 24(2)).
 """
 
 from __future__ import annotations
@@ -73,24 +79,41 @@ def kcore_clusters(net: Network, k: int) -> Clustering:
 def ikc(net: Network, k: int) -> Clustering:
     """Iteratively carve off top cores until the residual thins below k.
 
-    Each round labels the residual subgraph, takes the connected
-    components of the highest-label core, keeps those with positive
-    modularity (measured against the full network), and deletes every
-    top-core node from the residual regardless of whether its component
-    was kept. Deleted-but-rejected nodes simply end up unclustered.
+    Each round takes the connected components of the residual graph's
+    highest-label core, keeps those with positive modularity (measured
+    against the full network), and deletes every top-core node from the
+    residual regardless of whether its component was kept.
+    Deleted-but-rejected nodes simply end up unclustered.
+
+    The network is peeled once. After that each node's core number in
+    the residual graph (`lab`, 0 once deleted) and its support (`sup`,
+    the count of neighbours u with lab[u] >= lab[v]) are kept up to
+    date: a deletion costs each neighbour one support, and
+    `_kernels.settle` lowers the labels of the nodes left with fewer
+    supports than their label until none is. The labels it settles on
+    are exactly the core numbers a fresh peel of the residual would
+    give, so the clusters are the same, for work near the deleted nodes
+    rather than a peel of the whole residual every round.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    alive = net.all_nodes()
+    indptr, indices = net.indptr, net.indices
+    lab = core_labels(net).labels
+    rows = np.repeat(np.arange(net.n), net.degrees)
+    sup = np.bincount(rows[lab[indices] >= lab[rows]], minlength=net.n)
+    del rows
+    mark = np.zeros(net.n, np.bool_)
     kept: list[Cluster] = []
-    while len(alive):
-        lab = core_labels(net, alive)
-        top = lab.max_label
-        if top < k:
-            break
-        members = lab.at_least(top)
+    while (top := int(lab.max(initial=0))) >= k:
+        members = np.flatnonzero(lab == top)
         comp, positive = modular_components(net, members)
         comps = split_by(comp, members, len(positive))
         kept.extend(all_core(c) for c, ok in zip(comps, positive) if ok)
-        alive = np.setdiff1d(alive, members, assume_unique=True)
+        # every live neighbour had a label of at most top: each loses
+        # one support per arc into the deleted core
+        lab[members] = 0
+        nbr = indices[_kernels._gather(indptr, members)[0]]
+        nbr, cnt = np.unique(nbr[lab[nbr] > 0], return_counts=True)
+        sup[nbr] -= cnt
+        _kernels.settle(indptr, indices, lab, sup, nbr[sup[nbr] < lab[nbr]], mark)
     return Clustering(kept, net.n)

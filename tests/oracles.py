@@ -16,6 +16,9 @@ import numpy as np
 
 from kmpcluster import _kernels
 from kmpcluster.bisection import _exact_bipartition
+from kmpcluster.clustering import Cluster, Clustering, all_core, split_by
+from kmpcluster.kcore import core_labels
+from kmpcluster.parsing import modular_components
 
 
 def adjacency(net) -> dict[int, set[int]]:
@@ -163,6 +166,88 @@ def assign_by_scan(net, cores: list[set], candidates, p, order=None):
         if best is not None:
             result[int(x)] = best
     return result
+
+
+def best_cluster_per_node(indptr, indices, owner, core_size, min_id, cand, p):
+    """Pick the attachment target for each candidate node.
+
+    `owner[u]` is the cluster index of u if u is a core node, else -1.
+    A candidate qualifies for cluster c when it has >= p neighbors in
+    c's core; among qualifying clusters the one with the largest
+    count/core_size ratio wins, ties broken by smaller `min_id`. Ratio
+    comparisons use integer cross-products, so there is no float
+    tie ambiguity. Returns the chosen cluster index per candidate
+    (-1 when none qualifies).
+
+    The per-candidate loop the vectorised kernel replaced, kept verbatim.
+    """
+    ncl = len(core_size)
+    count = np.zeros(ncl, np.int64)
+    seen = np.full(ncl, -1, np.int64)
+    done = np.full(ncl, -1, np.int64)
+    out = np.full(len(cand), -1, np.int64)
+    for ci in range(len(cand)):
+        x = cand[ci]
+        for e in range(indptr[x], indptr[x + 1]):
+            c = owner[indices[e]]
+            if c < 0:
+                continue
+            if seen[c] != ci:
+                seen[c] = ci
+                count[c] = 0
+            count[c] += 1
+        best = -1
+        bnum = 0
+        bden = 1
+        for e in range(indptr[x], indptr[x + 1]):
+            c = owner[indices[e]]
+            if c < 0 or done[c] == ci:
+                continue
+            done[c] = ci
+            cnt = count[c]
+            if cnt < p:
+                continue
+            if best < 0:
+                take = True
+            else:
+                lhs = cnt * bden
+                rhs = bnum * core_size[c]
+                take = lhs > rhs or (lhs == rhs and min_id[c] < min_id[best])
+            if take:
+                best = c
+                bnum = cnt
+                bden = core_size[c]
+        out[ci] = best
+    return out
+
+
+def ikc(net, k: int) -> Clustering:
+    """Iteratively carve off top cores until the residual thins below k.
+
+    Each round labels the residual subgraph, takes the connected
+    components of the highest-label core, keeps those with positive
+    modularity (measured against the full network), and deletes every
+    top-core node from the residual regardless of whether its component
+    was kept. Deleted-but-rejected nodes simply end up unclustered.
+
+    The loop that re-peels the whole residual every round, kept verbatim
+    as the reference for the one that maintains the labels.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    alive = net.all_nodes()
+    kept: list[Cluster] = []
+    while len(alive):
+        lab = core_labels(net, alive)
+        top = lab.max_label
+        if top < k:
+            break
+        members = lab.at_least(top)
+        comp, positive = modular_components(net, members)
+        comps = split_by(comp, members, len(positive))
+        kept.extend(all_core(c) for c, ok in zip(comps, positive) if ok)
+        alive = np.setdiff1d(alive, members, assume_unique=True)
+    return Clustering(kept, net.n)
 
 
 # -- stage 2, one cluster at a time -----------------------------------------

@@ -120,6 +120,23 @@ def planted_instance(seed: int, k: int = 5):
     return net, cores, periphery
 
 
+def clique_with_cycle(clique: int, cycle: int, isolated: int) -> Network:
+    """A clique, a cycle of `cycle` nodes through two of its members,
+    and `isolated` nodes with no edges.
+
+    Once IKC deletes the clique, the cycle is left as two long paths
+    whose core labels fall from 2 to 1 one node per wave from each end:
+    the slowest case for maintaining the labels across rounds.
+    """
+    rest = np.arange(clique, clique + cycle - 2)
+    half = cycle // 2 - 1
+    ring = np.concatenate([[0], rest[:half], [1], rest[half:]])
+    iu = np.triu_indices(clique, k=1)
+    u = np.concatenate([iu[0], ring])
+    v = np.concatenate([iu[1], np.roll(ring, -1)])
+    return Network.from_edges(u, v, n=clique + cycle - 2 + isolated)
+
+
 def sweep_network_edges(seed: int = 830914, n: int = 10000):
     """The fixed mid-size network for determinism sweeps.
 

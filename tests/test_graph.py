@@ -17,7 +17,7 @@ from kmpcluster import (
     write_edge_list,
     write_id_map,
 )
-from kmpcluster.clustering import as_ids
+from kmpcluster.clustering import Cluster, as_ids
 
 
 def write_lines(tmp_path, name, lines):
@@ -393,3 +393,19 @@ def test_subset_and_as_ids_match_np_unique(ids, shape):
         assert got.dtype == np.int64 and got.tolist() == expect.tolist()
         assert not (np.shares_memory(got, given_ids) and got.flags.writeable)
     assert np.array_equal(given_ids, before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    core=st.lists(st.integers(min_value=0, max_value=30), max_size=12),
+    noncore=st.lists(st.integers(min_value=0, max_value=30), max_size=12),
+)
+def test_cluster_rejects_overlapping_core_and_noncore(core, noncore):
+    # unsorted, repeated and empty parts alike; only a shared node raises
+    if set(core) & set(noncore):
+        with pytest.raises(ValueError, match="overlap"):
+            Cluster(core=core, noncore=noncore)
+    else:
+        c = Cluster(core=core, noncore=noncore)
+        assert c.core.tolist() == sorted(set(core))
+        assert c.noncore.tolist() == sorted(set(noncore))

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import synth
 from kmpcluster import (
     Clustering,
+    Network,
+    _kernels,
     core_labels,
     degeneracy,
     has_positive_modularity,
@@ -158,3 +162,86 @@ def test_clustering_sorted_by_smallest_member():
     clusters = ikc(net, 4)
     assert [c.min_id for c in clusters] == sorted(c.min_id for c in clusters)
     assert isinstance(clusters, Clustering)
+
+
+@st.composite
+def carved_network(draw):
+    """Planted cliques of distinct sizes over a noise background, with
+    chains and isolated nodes, ids shuffled: many distinct top cores."""
+    sizes = draw(st.lists(st.integers(2, 12), max_size=5, unique=True))
+    chains = draw(st.lists(st.integers(2, 40), max_size=3))
+    n_isolated = draw(st.integers(0, 5))
+    edges = []
+    n = 0
+    for size in sizes:
+        edges += synth.clique_edges(range(n, n + size))
+        n += size
+    for size in chains:
+        edges += synth.path_edges(range(n, n + size))
+        n += size
+    n += n_isolated + 2
+    node = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    edges.append((n - 2, n - 1))
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    ends = perm[np.array(edges, dtype=np.int64)]
+    return Network.from_edges(ends[:, 0], ends[:, 1], n=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=carved_network(), k=st.integers(1, 6))
+def test_ikc_matches_full_repeel_oracle(net, k):
+    got = ikc(net, k)
+    want = oracles.ikc(net, k)
+    assert [c.core.tolist() for c in got] == [c.core.tolist() for c in want]
+
+
+def test_ikc_on_a_cycle_left_by_its_clique():
+    # the two paths the clique leaves drop to label 1 one node per wave
+    net = synth.clique_with_cycle(12, 400, 1000)
+    for k in (1, 2):
+        got = ikc(net, k)
+        assert got.same_clusters(oracles.ikc(net, k))
+        assert got.clusters[0].core.tolist() == list(range(12))
+    assert [c.size for c in ikc(net, 1)] == [12, 199, 199]
+
+
+def supports(adj, lab, v) -> int:
+    return sum(1 for u in adj[v] if lab[u] >= lab[v])
+
+
+@settings(max_examples=100, deadline=None)
+@given(net=carved_network(), data=st.data())
+def test_settle_keeps_core_numbers_over_deletions(net, data):
+    """After each deletion, settling gives the residual's core numbers
+    and the exact supports of every labelled node."""
+    adj = oracles.adjacency(net)
+    lab = core_labels(net).labels.copy()
+    sup = np.array([supports(adj, lab, v) for v in range(net.n)], np.int64)
+    mark = np.zeros(net.n, np.bool_)
+    alive = set(range(net.n))
+    for _ in range(data.draw(st.integers(1, 8))):
+        if not alive:
+            break
+        if data.draw(st.booleans()):
+            top = max(lab[v] for v in alive)
+            gone = {v for v in alive if lab[v] == top}
+        else:
+            gone = set(data.draw(st.sets(st.sampled_from(sorted(alive)), min_size=1)))
+        alive -= gone
+        old = {v: int(lab[v]) for v in gone}
+        lab[list(gone)] = 0
+        for d in gone:
+            for u in adj[d]:
+                if 0 < lab[u] <= old[d]:
+                    sup[u] -= 1
+        violators = sorted(u for u in alive if sup[u] < lab[u])
+        _kernels.settle(
+            net.indptr, net.indices, lab, sup, np.array(violators, np.int64), mark
+        )
+        want = oracles.core_labels_by_deletion(adj, alive)
+        assert lab.tolist() == [want.get(v, 0) for v in range(net.n)]
+        for v in alive:
+            if lab[v]:
+                assert sup[v] == supports(adj, lab, v)
+        assert not mark.any()

@@ -175,3 +175,23 @@ def test_matvec_sums_in_arc_order_bit_for_bit(case):
             s += float(x[j])
         expect.append(s)
     assert out.tobytes() == np.array(expect, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=network_and_subset(), n_cores=st.integers(0, 6), p=st.integers(1, 3))
+def test_best_cluster_per_node_matches_loop_oracle(case, n_cores, p):
+    # the subset's nodes are cut into cores; every other node is a candidate
+    net, sub, rng = case
+    owner = np.full(net.n, -1, np.int64)
+    owner[sub] = rng.integers(0, n_cores, len(sub)) if n_cores else -1
+    core_size = np.bincount(owner[owner >= 0], minlength=n_cores)
+    min_id = rng.permutation(4 * n_cores).astype(np.int64)[:n_cores]
+    cand = np.flatnonzero(owner < 0)
+    got = _kernels.best_cluster_per_node(
+        net.indptr, net.indices, owner, core_size, min_id, cand, p
+    )
+    want = oracles.best_cluster_per_node(
+        net.indptr, net.indices, owner, core_size, min_id, cand, p
+    )
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
