@@ -11,6 +11,7 @@ here accept any integer sequence and canonicalize it once.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -202,19 +203,42 @@ def load_edge_list(path) -> Network:
     nodes in string order and reports malformed lines: any other byte,
     a line with other than two fields, a longer id, a lone `\r`, and an
     id with a leading zero (so `007` and `7` stay two nodes).
+
+    The parser's temporaries are several times the size of the network.
+    Once they are freed, the heap is trimmed, so that what the process
+    holds afterwards is the network and not whatever freed memory the
+    allocator happened to keep.
     """
-    path = Path(path)
+    net = _read_edge_list(Path(path))
+    # glibc keeps a freed block resident while a live block sits above
+    # it in the heap; without the trim, the resident memory of every
+    # later stage depends on where the temporaries happened to land
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+    return net
+
+
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # no glibc: nothing to trim
+    _MALLOC_TRIM = None
+
+
+def _read_edge_list(path: Path) -> Network:
     data = path.read_bytes()
     if not data.strip():
         raise EdgeListError(f"{path}: empty edge list")
     pairs = _integer_pairs(data)
     if pairs is None:
         return _load_general(path, data)
+    del data
     u, v = pairs
-    if len(u) == 0:
+    m = len(u)
+    if m == 0:
         raise EdgeListError(f"{path}: no edges found")
-    ext, inv = np.unique(np.concatenate([u, v]), return_inverse=True)
-    return Network.from_edges(inv[: len(u)], inv[len(u) :], ext_ids=ext)
+    ext, inv = np.unique(np.concatenate(pairs), return_inverse=True)
+    del pairs, u, v
+    return Network.from_edges(inv[:m], inv[m:], ext_ids=ext)
 
 
 _MAX_DIGITS = 18  # every 18-digit decimal fits in an int64
