@@ -9,10 +9,8 @@ Eleven kernels are whole-array numpy: `subset_degrees`,
 `matvec`, `peel`, `settle` (which keeps core numbers exact as nodes are
 deleted), `component_labels` (with `local_components`, its step on a
 local CSR), `sweep_objective` and `best_cluster_per_node`. The only
-loop is `refine_split`, whose steps depend on the steps before it. It
-is compiled with numba when that is installed and KMP_NO_NUMBA is
-unset; otherwise it runs as ordinary Python and gives identical
-results.
+loop is `refine_split`, whose steps depend on the steps before it; it
+runs as ordinary Python.
 
 `extract_local_csr`, `peel` and `component_labels` take an optional
 trailing `group` array, one id per node of `sub`. Arcs between groups
@@ -23,28 +21,10 @@ once, each exactly as if it were called alone. `matvec` and
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+# Nothing here is compiled; the benchmark reports this as its backend.
 NUMBA = False
-if not os.environ.get("KMP_NO_NUMBA"):
-    try:
-        from numba import njit as _njit
-
-        NUMBA = True
-    except ImportError:
-        pass
-
-if NUMBA:
-
-    def _kernel(func):
-        return _njit(cache=True, nogil=True)(func)
-
-else:
-
-    def _kernel(func):
-        return func
 
 
 def _gather(indptr, sub):
@@ -302,7 +282,6 @@ def sweep_objective(lptr, lind, order, starts):
         return np.where((l0 > 0) & (l1 > 0), cut / l0 + cut / l1, np.inf)
 
 
-@_kernel
 def refine_split(lptr, lind, side, cut, i0, i1, n0, n1, max_sweeps, max_moves):
     """Greedy single-node descent on the normalized-cut objective.
 

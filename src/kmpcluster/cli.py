@@ -2,10 +2,7 @@
 
 Every subcommand reads an edge list, does one job, and writes its
 artifacts into --out with fixed file names, so runs with the same
-inputs and flags produce byte-identical directories. Set KMP_THREADS
-to allow intra-stage parallelism when numba is installed (without it the
-loop kernels hold the GIL, so stages run serially); results do not depend
-on it.
+inputs and flags produce byte-identical directories.
 """
 
 from __future__ import annotations
@@ -101,6 +98,17 @@ def _outdir(args) -> Path:
     return out
 
 
+def _summary(net, clustering, **extra) -> dict:
+    """The stats.json block: network size, coverage and cluster sizes."""
+    return {
+        "n_nodes": net.n,
+        "n_edges": net.m,
+        "coverage_percent": node_coverage(clustering),
+        "sizes": size_stats(clustering).to_dict(),
+        **extra,
+    }
+
+
 def _cmd_pipeline(args) -> int:
     cfg = _effective_pipeline_config(args)
     net = load_edge_list(args.edges)
@@ -110,14 +118,9 @@ def _cmd_pipeline(args) -> int:
     write_clustering(net, res.final, out / "clustering.tsv")
     write_id_map(net, out / "id_map.tsv")
     write_json(res.validity.to_dict(), out / "validity.json")
-    stats = {
-        "n_nodes": net.n,
-        "n_edges": net.m,
-        "coverage_percent": node_coverage(res.final),
-        "sizes": size_stats(res.final).to_dict(),
-        "n_discarded": int(len(res.discarded)),
-        "config": cfg.to_dict(),
-    }
+    stats = _summary(
+        net, res.final, n_discarded=int(len(res.discarded)), config=cfg.to_dict()
+    )
     write_json(stats, out / "stats.json")
     run = {
         "config": cfg.to_dict(),
@@ -137,14 +140,7 @@ def _cmd_ikc(args) -> int:
     out = _outdir(args)
     write_clustering(net, clustering, out / "clustering.tsv")
     write_id_map(net, out / "id_map.tsv")
-    stats = {
-        "n_nodes": net.n,
-        "n_edges": net.m,
-        "k": args.k,
-        "coverage_percent": node_coverage(clustering),
-        "sizes": size_stats(clustering).to_dict(),
-    }
-    write_json(stats, out / "stats.json")
+    write_json(_summary(net, clustering, k=args.k), out / "stats.json")
     write_node_list(net, clustering.unclustered(), out / "singletons.tsv")
     return 0
 
@@ -155,14 +151,7 @@ def _cmd_kcore(args) -> int:
     out = _outdir(args)
     write_clustering(net, clustering, out / "clustering.tsv")
     write_id_map(net, out / "id_map.tsv")
-    stats = {
-        "n_nodes": net.n,
-        "n_edges": net.m,
-        "k": args.k,
-        "degeneracy": degeneracy(net),
-        "coverage_percent": node_coverage(clustering),
-        "sizes": size_stats(clustering).to_dict(),
-    }
+    stats = _summary(net, clustering, k=args.k, degeneracy=degeneracy(net))
     write_json(stats, out / "stats.json")
     return 0
 
@@ -205,13 +194,7 @@ def _cmd_stats(args) -> int:
     net = load_edge_list(args.edges)
     clustering = load_clustering(net, args.clustering)
     out = _outdir(args)
-    stats = {
-        "n_nodes": net.n,
-        "n_edges": net.m,
-        "coverage_percent": node_coverage(clustering),
-        "sizes": size_stats(clustering).to_dict(),
-    }
-    write_json(stats, out / "stats.json")
+    write_json(_summary(net, clustering), out / "stats.json")
     return 0
 
 
@@ -289,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("edges")
     p.add_argument("clustering")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=int, default=PipelineConfig.p)
     p.add_argument(
         "--mode",
         choices=("kmp", "strict", "extract"),
@@ -308,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("edges")
     p.add_argument("clustering")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=int, default=PipelineConfig.p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_validate)
 

@@ -143,12 +143,7 @@ class Clustering:
 
     def member_mask(self, min_size: int = 1) -> np.ndarray:
         """uint8 mask of nodes covered by clusters of at least `min_size`."""
-        m = np.zeros(self.n_nodes, dtype=np.uint8)
-        for c in self.clusters:
-            if c.size >= min_size:
-                m[c.core] = 1
-                m[c.noncore] = 1
-        return m
+        return (self.assignment(min_size) >= 0).astype(np.uint8)
 
     def unclustered(self) -> np.ndarray:
         """Nodes in no cluster at all, sorted."""

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import Cluster, Clustering
+from .clustering import Cluster, Clustering, split_by
 from .errors import ClusteringFileError
 from .graph import Network
 
@@ -35,11 +35,15 @@ def load_clustering(net: Network, path) -> Clustering:
 
     Unknown node ids and conflicting duplicate assignments are errors;
     exact duplicate rows are tolerated. Rows may omit the role column.
+    The rows' internal ids are cut into clusters and roles in one
+    grouped pass at the end.
     """
     path = Path(path)
     seen: dict[str, tuple[str, str]] = {}
     unknown: list[str] = []
-    groups: dict[str, dict[str, list[int]]] = {}
+    ids: list[int] = []
+    keys: list[str] = []
+    noncore: list[bool] = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -70,20 +74,23 @@ def load_clustering(net: Network, path) -> Clustering:
         if v is None:
             unknown.append(node)
             continue
-        groups.setdefault(cid, {"core": [], "noncore": []})[role].append(v)
+        ids.append(v)
+        keys.append(cid)
+        noncore.append(role == "noncore")
     if unknown:
         shown = ", ".join(unknown[:_MAX_LISTED])
         more = "" if len(unknown) <= _MAX_LISTED else f" (+{len(unknown) - _MAX_LISTED} more)"
         raise ClusteringFileError(
             f"{path}: {len(unknown)} node ids not in the network: {shown}{more}"
         )
-    if not groups:
+    if not ids:
         raise ClusteringFileError(f"{path}: no cluster assignments found")
-    clusters = [
-        Cluster(core=np.array(g["core"], dtype=np.int64),
-                noncore=np.array(g["noncore"], dtype=np.int64))
-        for g in groups.values()
-    ]
+    names, cluster = np.unique(keys, return_inverse=True)
+    # taken in id order, every part comes out sorted for Cluster
+    order = np.argsort(ids)
+    label = (2 * cluster + np.array(noncore))[order]
+    part = split_by(label, np.array(ids, np.int64)[order], 2 * len(names))
+    clusters = [Cluster(core=c, noncore=nc) for c, nc in zip(part[::2], part[1::2])]
     clustering = Clustering(clusters, net.n)
     clustering.check_disjoint()
     return clustering

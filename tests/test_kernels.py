@@ -195,3 +195,53 @@ def test_best_cluster_per_node_matches_loop_oracle(case, n_cores, p):
     )
     assert got.dtype == np.int64
     assert got.tolist() == want.tolist()
+
+
+def _split_counts(lptr, lind, side):
+    """(cut, internal_0, internal_1) edge counts of a 0/1 split, recounted."""
+    rows = np.repeat(np.arange(len(side)), np.diff(lptr))
+    sr, sc = side[rows], side[lind]
+    cut = int((sr != sc).sum()) // 2
+    i0 = int(((sr == 0) & (sc == 0)).sum()) // 2
+    return cut, i0, len(lind) // 2 - cut - i0
+
+
+def _ncut(cut, i0, i1):
+    l0, l1 = i0 + cut, i1 + cut
+    return np.inf if l0 == 0 or l1 == 0 else cut / l0 + cut / l1
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 30), ample=st.booleans())
+def test_refine_split_keeps_its_contract(data, n, ample):
+    node = st.integers(0, n - 1)
+    ends = np.array(data.draw(st.lists(st.tuples(node, node), max_size=4 * n)), np.int64)
+    ends = ends.reshape(-1, 2)
+    net = Network.from_edges(ends[:, 0], ends[:, 1], n=n)
+    lptr, lind = net.indptr, net.indices
+    n0 = data.draw(st.integers(1, n - 1))
+    start = np.ones(n, np.int8)
+    start[data.draw(st.permutations(range(n)))[:n0]] = 0
+    if ample:
+        # every accepted move strictly lowers the objective, so no split
+        # comes back: fewer than 2**n moves, at most 2**n sweeps, and the
+        # descent can only end on a sweep without a move
+        max_sweeps = max_moves = 2**n + 1
+    else:
+        max_sweeps = data.draw(st.integers(1, 4))
+        max_moves = data.draw(st.integers(1, 6))
+    side = start.copy()
+    got = _kernels.refine_split(
+        lptr, lind, side, *_split_counts(lptr, lind, start), n0, n - n0,
+        max_sweeps, max_moves,
+    )
+    assert got == _split_counts(lptr, lind, side)
+    assert 1 <= (side == 0).sum() <= n - 1
+    assert _ncut(*got) <= _ncut(*_split_counts(lptr, lind, start))
+    assert (side != start).sum() <= max_moves
+    if ample:
+        for v in range(n):
+            if (side == side[v]).sum() > 1:
+                flip = side.copy()
+                flip[v] = 1 - flip[v]
+                assert not _ncut(*_split_counts(lptr, lind, flip)) < _ncut(*got)
