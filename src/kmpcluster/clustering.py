@@ -57,8 +57,9 @@ def split_by(label, values, count: int) -> list[np.ndarray]:
     entries had in `values`.
     """
     order = np.argsort(label, kind="stable")
-    bounds = np.searchsorted(label[order], np.arange(count + 1))
-    return np.split(values[order], bounds)[1:-1]
+    bounds = np.searchsorted(label[order], np.arange(count + 1)).tolist()
+    values = values[order]
+    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def union_ids(parts) -> np.ndarray:

@@ -57,8 +57,13 @@ class Network:
 
         Self-loops and duplicates are dropped (and counted). `n` may be
         given to include isolated trailing nodes; otherwise it is one
-        past the largest endpoint.
+        past the largest endpoint. An integer array of `ext_ids` must be
+        nonnegative and strictly increasing, as `load_edge_list` makes it,
+        so that labels can be found by binary search.
         """
+        if _is_integer_array(ext_ids) and len(ext_ids):
+            if ext_ids[0] < 0 or (ext_ids[1:] <= ext_ids[:-1]).any():
+                raise ValueError("integer ids must be nonnegative and increasing")
         u = np.asarray(u, dtype=np.int64).ravel()
         v = np.asarray(v, dtype=np.int64).ravel()
         if len(u) != len(v):
@@ -119,22 +124,57 @@ class Network:
         return str(self._ext[v])
 
     def external_ids(self, nodes) -> list[str]:
-        return [self.external_id(int(v)) for v in nodes]
+        """External labels of `nodes`, in the order given."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if self._ext is None:
+            labels = nodes.tolist()
+        elif isinstance(self._ext, np.ndarray):
+            labels = self._ext[nodes].tolist()
+        else:
+            labels = [self._ext[v] for v in nodes.tolist()]
+        return list(map(str, labels))
+
+    @property
+    def integer_ids(self) -> bool:
+        """Whether the external ids are integers, kept in ascending order.
+
+        So they are when the network is numbered by its own internal ids
+        and when `load_edge_list` read it on its integer path.
+        """
+        return self._ext is None or _is_integer_array(self._ext)
+
+    def integer_internal_ids(self, values) -> np.ndarray:
+        """Internal ids of the integer labels `values`, -1 where unknown.
+
+        Only for a network with `integer_ids`.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        if self._ext is None:
+            return np.where((values >= 0) & (values < self.n), values, -1)
+        at = np.searchsorted(self._ext, values)
+        found = at < len(self._ext)
+        found[found] = self._ext[at[found]] == values[found]
+        return np.where(found, at, -1)
 
     def internal_id(self, ext: str):
         """Internal id for an external label, or None if unknown."""
-        if self._ext_lookup is None:
-            if self._ext is None:
-                self._ext_lookup = {}
-            else:
-                self._ext_lookup = {str(e): i for i, e in enumerate(self._ext)}
+        ext = str(ext)
         if self._ext is None:
             try:
                 v = int(ext)
             except ValueError:
                 return None
             return v if 0 <= v < self.n else None
-        return self._ext_lookup.get(str(ext))
+        if self.integer_ids:
+            # only a canonical decimal prints back as one of the ids
+            canonical = ext.isascii() and ext.isdigit() and len(ext) <= _MAX_DIGITS
+            if not canonical or (ext[0] == "0" and ext != "0"):
+                return None
+            v = int(self.integer_internal_ids([int(ext)])[0])
+            return v if v >= 0 else None
+        if self._ext_lookup is None:
+            self._ext_lookup = {str(e): i for i, e in enumerate(self._ext)}
+        return self._ext_lookup.get(ext)
 
     # -- subset operations -----------------------------------------------
 
@@ -158,6 +198,10 @@ class Network:
         rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
         keep = self.indices > rows
         return rows[keep], self.indices[keep].astype(np.int64)
+
+
+def _is_integer_array(ids) -> bool:
+    return isinstance(ids, np.ndarray) and ids.dtype.kind == "i"
 
 
 def subset_degrees(net: Network, nodes) -> np.ndarray:
@@ -195,9 +239,11 @@ def load_edge_list(path) -> Network:
     malformed file, naming the offending line.
 
     A file whose ids are all integers written in canonical decimal form
-    takes a vectorised fast path, which numbers the nodes in numeric id
-    order. It accepts lines of exactly two digit runs of at most 18
-    digits, separated and optionally surrounded by spaces or tabs;
+    takes a whole-array fast path, which checks the grammar with byte
+    masks, reads every value with one `np.fromstring` call and numbers
+    the nodes in numeric id order. It accepts lines of exactly two
+    digit runs of at most 18 digits, separated and optionally
+    surrounded by spaces or tabs;
     blank lines; `#` lines of printable ASCII; and `\n` or `\r\n` line
     ends. Anything else goes to the string path, which numbers the
     nodes in string order and reports malformed lines: any other byte,
@@ -242,12 +288,6 @@ def _read_edge_list(path: Path) -> Network:
 
 
 _MAX_DIGITS = 18  # every 18-digit decimal fits in an int64
-_DATA_BYTE = np.zeros(256, dtype=bool)
-_DATA_BYTE[[9, 10, 13, 32]] = True
-_DATA_BYTE[ord("0") : ord("9") + 1] = True
-_COMMENT_BYTE = np.zeros(256, dtype=bool)
-_COMMENT_BYTE[[9, 10, 13]] = True
-_COMMENT_BYTE[32:127] = True
 
 
 def _integer_pairs(data: bytes):
@@ -258,9 +298,10 @@ def _integer_pairs(data: bytes):
     parsed as an integer. Because no accepted token has a leading zero,
     every value prints back as the token it came from.
 
-    Masks the size of the file, and arrays with one entry per token or
-    line, are deleted as soon as they are used up to keep peak memory
-    low on large files.
+    The grammar is checked with `bytes.translate`, byte masks and
+    per-token arrays, each deleted as soon as it is used up, and the
+    values come from one `np.fromstring` call. A file with `#` lines is read from a copy
+    whose comment bytes are blanked.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     if b"\r" in data:
@@ -268,7 +309,7 @@ def _integer_pairs(data: bytes):
         if cr[-1] == len(buf) - 1 or (buf[cr + 1] != 10).any():
             return None
     newline = np.flatnonzero(buf == 10)
-    comment = None
+    text = data
     if b"#" in data:
         starts = np.concatenate([[0], newline + 1])
         starts = starts[starts < len(buf)]
@@ -280,41 +321,53 @@ def _integer_pairs(data: bytes):
         delta[ends] = -1
         comment = np.cumsum(delta[:-1], dtype=np.int8).view(bool)
         del delta
-        if not _COMMENT_BYTE[buf[comment]].all():
+        # a comment runs up to its line's LF: printable ASCII, tab or CR
+        inside = buf[comment]
+        if not ((inside - np.uint8(32) < 95) | (inside == 9) | (inside == 13)).all():
             return None
-        if not _DATA_BYTE[buf[~comment]].all():
-            return None
-    elif not _DATA_BYTE[buf].all():
+        del inside
+        blank = buf.copy()
+        blank[comment] = ord(" ")
+        del comment
+        text = blank.tobytes()
+        del blank
+        buf = np.frombuffer(text, dtype=np.uint8)
+    # deleting every byte that may stand outside a comment leaves nothing;
+    # unlike a byte mask or table, this costs no array the size of the file
+    if text.translate(None, b"0123456789\t\n\r "):
         return None
 
     digit = (buf - np.uint8(ord("0"))) < 10
-    if comment is not None:
-        digit &= ~comment
-        del comment
     edge = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
     del digit
     first = np.flatnonzero(edge == 1)
-    length = np.flatnonzero(edge == -1) - first
+    length = np.flatnonzero(edge == -1)
+    length -= first
     del edge
-    if len(first) == 0:
+    count = len(first)
+    if count == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    if len(first) % 2 or length.max() > _MAX_DIGITS:
+    if count % 2 or length.max() > _MAX_DIGITS:
         return None
     if ((length > 1) & (buf[first] == ord("0"))).any():
         return None
+    del length
     # token 2i and 2i+1 must share a line, and the next pair start a new one
     line = np.searchsorted(newline, first)
-    del newline
+    del newline, first
     if (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
         return None
     del line
 
-    value = np.zeros(len(first), dtype=np.int64)
-    for j in range(int(length.max())):
-        live = np.flatnonzero(length > j)
-        digits = buf[first[live] + j] - np.uint8(ord("0"))
-        value[live] = value[live] * 10 + digits
+    # np.fromstring parses past the end of its buffer up to a NUL, which a
+    # bytes object has and an array need not, so it reads `text` and not
+    # `buf`. It gets no count: NumPy 2.4 pads a read that runs short of
+    # one with uninitialised values, so only a read to the end shows one
+    del buf
+    value = np.fromstring(text, dtype=np.int64, sep=" ")
+    if len(value) != count:
+        return None
     return value[0::2], value[1::2]
 
 
@@ -349,6 +402,6 @@ def write_edge_list(net: Network, path) -> None:
 
 def write_id_map(net: Network, path) -> None:
     """Write `external<TAB>internal` rows for every node."""
+    ids = net.external_ids(net.all_nodes())
     with open(path, "w") as f:
-        for v in range(net.n):
-            f.write(f"{net.external_id(v)}\t{v}\n")
+        f.write("".join([f"{e}\t{v}\n" for v, e in enumerate(ids)]))

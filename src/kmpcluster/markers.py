@@ -44,6 +44,7 @@ def load_markers(net: Network, path) -> MarkerPanel:
     """
     path = Path(path)
     external: list[str] = []
+    internal: list[int] = []
     seen = set()
     missing = []
     for raw in path.read_text().splitlines():
@@ -58,6 +59,7 @@ def load_markers(net: Network, path) -> MarkerPanel:
             missing.append(token)
         else:
             external.append(token)
+            internal.append(v)
     if missing:
         shown = ", ".join(missing[:_MAX_LISTED])
         more = "" if len(missing) <= _MAX_LISTED else f" (+{len(missing) - _MAX_LISTED} more)"
@@ -66,8 +68,7 @@ def load_markers(net: Network, path) -> MarkerPanel:
         )
     if not external:
         raise MarkerFileError(f"{path}: no marker ids found")
-    internal = np.array([net.internal_id(t) for t in external], dtype=np.int64)
-    return MarkerPanel(external=external, internal=internal)
+    return MarkerPanel(external=external, internal=np.array(internal, dtype=np.int64))
 
 
 def _marker_assignments(panel: MarkerPanel, runs: list[Clustering]) -> np.ndarray:

@@ -346,6 +346,40 @@ def test_integer_fast_path_matches_string_path(tmp_path_factory, case):
     assert got.load_report.to_dict() == want.load_report.to_dict()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(
+        st.integers(0, 10**18 - 1) | st.sampled_from([10**17, 10**18 - 1]),
+        min_size=2,
+        max_size=12,
+    ).filter(lambda ids: len(ids) % 2 == 0),
+    comment=st.none() | st.integers(0, 6),
+)
+def test_integer_pairs_reads_18_digit_ids_exactly(ids, comment):
+    lines = [f"{a}\t{b}" for a, b in zip(ids[0::2], ids[1::2])]
+    if comment is not None:
+        # the digits of a comment must not be read as ids
+        lines.insert(min(comment, len(lines)), f"# {10**18 - 1} 12\t3")
+    pairs = graph._integer_pairs(("\n".join(lines) + "\n").encode())
+    assert pairs is not None
+    assert pairs[0].tolist() == ids[0::2]
+    assert pairs[1].tolist() == ids[1::2]
+
+
+def test_integer_network_resolves_only_canonical_ids(tmp_path):
+    path = write_lines(tmp_path, "e.tsv", ["256\t0", "999999999999999999\t256"])
+    net = load_edge_list(path)
+    assert net.integer_ids
+    assert [net.internal_id(e) for e in ("0", "256", "999999999999999999")] == [0, 1, 2]
+    # each of these parses as one of the ids but does not print as it
+    for ext in ("0256", "+256", " 256", "256 ", "00", "２５６", "", "1" * 19, "7"):
+        assert net.internal_id(ext) is None
+    with pytest.raises(ValueError, match="increasing"):
+        Network.from_edges([0], [1], ext_ids=np.array([5, 3]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Network.from_edges([0], [1], ext_ids=np.array([-1, 3]))
+
+
 def test_id_map_is_bijective(tmp_path):
     path = write_lines(tmp_path, "e.tsv", ["x\ty", "y\tz", "z\tx"])
     net = load_edge_list(path)

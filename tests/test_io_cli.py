@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synth
 from kmpcluster import (
     Cluster,
     Clustering,
     ClusteringFileError,
+    Network,
     all_core,
     ikc,
     load_clustering,
@@ -15,6 +18,7 @@ from kmpcluster import (
     mds_distances,
     write_clustering,
 )
+from kmpcluster import io
 from kmpcluster.cli import main
 
 
@@ -111,6 +115,98 @@ def test_malformed_rows_rejected(tmp_path):
     f.write_text("# only comments\n")
     with pytest.raises(ClusteringFileError, match="no cluster assignments"):
         load_clustering(net, f)
+
+
+@st.composite
+def integer_partition(draw):
+    """A small integer-id network, a twin that resolves the same labels
+    without the integer lookup, partition text for them, and whether
+    every line of that text is one the integer path must take.
+
+    Node ids are sparse, so that an unknown id can fall between two
+    known ones. The twin holds the ids as strings, and so finds them
+    through a dict. A network without an id map is numbered by its own
+    internal ids, and is its own twin.
+    """
+    if draw(st.booleans()):
+        ext = sorted(draw(st.sets(st.integers(0, 60), min_size=2, max_size=12)))
+        net = Network.from_edges([0], [1], ext_ids=np.array(ext, dtype=np.int64))
+        twin = Network.from_edges([0], [1], ext_ids=[str(e) for e in ext])
+    else:
+        ext = list(range(draw(st.integers(2, 12))))
+        net = twin = Network.from_edges([0], [1], n=len(ext))
+    unknown = [v for v in range(ext[-1] + 3) if v not in ext]
+    cids = st.integers(0, 3).map(str)
+    lines, plain = [], True
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(
+            st.sampled_from(
+                ["row"] * 12 + ["repeat"] * 3 + ["comment", "blank"] * 2
+                + ["conflict", "unknown"] * 2 + ["zero", "wide", "roles"]
+            )
+        )
+        if kind in ("repeat", "conflict") and rows:
+            node, cid = draw(st.sampled_from(rows))
+            if kind == "conflict":
+                cid = draw(cids)
+        elif kind == "unknown":
+            node = str(draw(st.sampled_from(unknown)))
+            cid = draw(cids)
+            plain = False
+        elif kind == "comment":
+            lines.append("# " + draw(st.text("0123456789 \tab#", max_size=6)))
+            continue
+        elif kind == "blank":
+            lines.append(draw(st.text(" \t", max_size=2)))
+            continue
+        else:
+            node, cid = str(draw(st.sampled_from(ext))), draw(cids)
+            if kind == "zero":
+                node = "0" + node
+                plain = False
+        rows.append((node, cid))
+        line = node + draw(st.sampled_from(["\t", "\t", " ", "  "])) + cid
+        if kind == "roles":
+            line += "\t" + draw(st.sampled_from(["core", "noncore", "1"]))
+            plain = False
+        elif kind == "wide":
+            # `_read_rows` splits a line with a tab at every tab
+            line = node + draw(st.sampled_from(["\t\t", " \t", "\t "])) + cid
+            plain = False
+        pad = st.sampled_from(["", "", " ", "\t"])
+        lines.append(draw(pad) + line + draw(pad))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    first = {}
+    consistent = all(first.setdefault(node, cid) == cid for node, cid in rows)
+    # the integer path also leaves any tab next to other blank space alone
+    narrow = not any(gap in text for gap in ("\t\t", "\t ", " \t"))
+    return net, twin, text, plain and consistent and narrow and bool(rows)
+
+
+def _outcome(net, read):
+    """The clusters `read` gives, in labels, or the error it raises."""
+    try:
+        clustering = read()
+    except (ClusteringFileError, ValueError) as e:
+        return type(e), str(e)
+    return sorted(
+        (net.external_ids(c.core), net.external_ids(c.noncore)) for c in clustering
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=integer_partition())
+def test_integer_partition_path_matches_row_path(tmp_path_factory, case):
+    net, twin, text, plain = case
+    path = tmp_path_factory.mktemp("part") / "partition.tsv"
+    path.write_bytes(text.encode())
+    if plain:
+        assert io._integer_rows(net, path.read_bytes()) is not None
+    want = _outcome(twin, lambda: io._group_rows(twin, *io._read_rows(twin, path)))
+    assert _outcome(net, lambda: io._group_rows(net, *io._read_rows(net, path))) == want
+    assert _outcome(net, lambda: load_clustering(net, path)) == want
 
 
 # ------------------------------------------------------------------------ cli
