@@ -4,13 +4,14 @@ Every function here takes plain numpy arrays; nothing in this module
 knows about the Network class. Callers pass (indptr, indices) plus
 whatever mask or output arrays the kernel needs.
 
-Eleven kernels are whole-array numpy: `subset_degrees`,
-`count_neighbors_in`, `induced_edges`, `cut_counts`, `extract_local_csr`,
-`matvec`, `peel`, `settle` (which keeps core numbers exact as nodes are
-deleted), `component_labels` (with `local_components`, its step on a
-local CSR), `sweep_objective` and `best_cluster_per_node`. The only
-loop is `refine_split`, whose steps depend on the steps before it; it
-runs as ordinary Python.
+Every kernel but one is whole-array numpy: the neighbour counts
+`subset_degrees`, `induced_edges` and `count_neighbors_in` (which no
+module here calls; the benchmark's tracer still wraps it by name),
+`cut_counts`, `extract_local_csr`, `matvec`, `peel`, `settle` (which
+keeps core numbers exact as nodes are deleted), `component_labels`
+(with `local_components`, its step on a local CSR), `sweep_objective`
+and `best_cluster_per_node`. The only loop is `refine_split`, whose
+steps depend on the steps before it; it runs as ordinary Python.
 
 `extract_local_csr`, `peel` and `component_labels` take an optional
 trailing `group` array, one id per node of `sub`. Arcs between groups
@@ -172,26 +173,32 @@ def local_components(lptr, lind):
     """Connected component id for each node of a local CSR.
 
     Ids are dense from 0 and ordered by smallest local id. Each round
-    hooks every root to the smallest root across its arcs, then jumps
-    pointers until every node points at a root; a component ends up
-    pointing at its smallest local id.
+    takes the smallest parent across each row's arcs with one
+    `np.minimum.reduceat` over the rows that have arcs, hooks the roots
+    of the rows that found a smaller one to it, then jumps pointers
+    until every node points at a root; a component ends up pointing at
+    its smallest local id, its only root.
     """
     nloc = len(lptr) - 1
-    rows = np.repeat(np.arange(nloc), np.diff(lptr))
+    row = np.flatnonzero(np.diff(lptr))
+    start = lptr[row]
     parent = np.arange(nloc)
-    while True:
-        pr = parent[rows]
-        pc = parent[lind]
-        split = pr != pc
+    while len(row):
+        low = np.minimum.reduceat(parent[lind], start)
+        pr = parent[row]
+        # arcs run both ways, so an arc between two trees shows as a
+        # smaller parent at one of its ends
+        split = low < pr
         if not split.any():
             break
-        np.minimum.at(parent, pr[split], pc[split])
+        np.minimum.at(parent, pr[split], low[split])
         while True:
             jumped = parent[parent]
             if np.array_equal(jumped, parent):
                 break
             parent = jumped
-    return np.unique(parent, return_inverse=True)[1]
+    root = parent == np.arange(nloc)
+    return (np.cumsum(root) - 1)[parent]
 
 
 def extract_local_csr(indptr, indices, sub, n, group=None):

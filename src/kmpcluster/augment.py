@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .clustering import Cluster, Clustering
+from .clustering import Cluster, Clustering, union_ids
 from .errors import ConfigError
 from .graph import Network
 
@@ -49,7 +49,7 @@ def augment(net: Network, clustering: Clustering, p: int) -> Clustering:
         joined = candidates[choice == i]
         if len(joined):
             out.append(
-                Cluster(core=c.core, noncore=np.union1d(c.noncore, joined))
+                Cluster(core=c.core, noncore=union_ids([c.noncore, joined]))
             )
         else:
             out.append(Cluster(core=c.core, noncore=c.noncore))

@@ -71,12 +71,12 @@ def normalized_cut(net: Network, c1, c2) -> float:
     b = net.subset(c2)
     if not len(a) or not len(b):
         raise ValueError("both parts must be nonempty")
-    if len(np.intersect1d(a, b)):
+    nodes = union_ids([a, b])
+    if len(nodes) < len(a) + len(b):
         raise ValueError("parts overlap")
     side = np.full(net.n, -1, dtype=np.int8)
     side[a] = 0
     side[b] = 1
-    nodes = np.union1d(a, b)
     cut, i0, i1 = _kernels.cut_counts(net.indptr, net.indices, side, nodes)
     l0 = i0 + cut
     l1 = i1 + cut

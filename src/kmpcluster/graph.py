@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .clustering import as_ids, split_by
+from .clustering import as_ids, run_starts, split_by
 from .errors import EdgeListError
 
 NodeId = int
@@ -64,8 +64,8 @@ class Network:
         if _is_integer_array(ext_ids) and len(ext_ids):
             if ext_ids[0] < 0 or (ext_ids[1:] <= ext_ids[:-1]).any():
                 raise ValueError("integer ids must be nonnegative and increasing")
-        u = np.asarray(u, dtype=np.int64).ravel()
-        v = np.asarray(v, dtype=np.int64).ravel()
+        u = np.asarray(u, dtype=np.int64).reshape(-1)
+        v = np.asarray(v, dtype=np.int64).reshape(-1)
         if len(u) != len(v):
             raise ValueError("endpoint arrays differ in length")
         if ext_ids is not None and n is not None and n != len(ext_ids):
@@ -81,18 +81,21 @@ class Network:
         report.self_loops_dropped = int(len(u) - keep.sum())
         u = u[keep]
         v = v[keep]
+        edges = len(u)
         # one arc key src * n + dst per direction; sorting the keys
         # orders the arcs by source, then by destination
         arcs = np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u])
+        del u, v
         arcs.sort()
-        arcs = arcs[np.diff(arcs, prepend=-1) != 0]
+        arcs = arcs[run_starts(arcs)]
         m = len(arcs) // 2
-        report.duplicate_edges_dropped = int(len(u) - m)
+        report.duplicate_edges_dropped = edges - m
         src = arcs // n
-        indices = arcs % n
-        counts = np.bincount(src, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        src *= n
+        indices = arcs
+        indices -= src
         return cls(indptr, indices, m, ext_ids=ext_ids, load_report=report)
 
     # -- basic queries ---------------------------------------------------
@@ -239,16 +242,19 @@ def load_edge_list(path) -> Network:
     malformed file, naming the offending line.
 
     A file whose ids are all integers written in canonical decimal form
-    takes a whole-array fast path, which checks the grammar with byte
-    masks, reads every value with one `np.fromstring` call and numbers
-    the nodes in numeric id order. It accepts lines of exactly two
-    digit runs of at most 18 digits, separated and optionally
-    surrounded by spaces or tabs;
-    blank lines; `#` lines of printable ASCII; and `\n` or `\r\n` line
-    ends. Anything else goes to the string path, which numbers the
-    nodes in string order and reports malformed lines: any other byte,
-    a line with other than two fields, a longer id, a lone `\r`, and an
-    id with a leading zero (so `007` and `7` stay two nodes).
+    takes a whole-array fast path (`_integer_pairs` gives its grammar)
+    and numbers the nodes in numeric id order: node i is the i-th
+    smallest id. One in-place sort of the packed keys
+    `id << b | position`, with b the bit length of the last position,
+    gives that order, and each endpoint's rank is scattered back to its
+    position. An id of 2**(62 - b) or more (near 10**18, in a large
+    file) leaves no room for b bits; such a file is numbered by
+    `np.unique`, with the same result. Every other file goes to the
+    string path, which numbers the nodes in string order and reports
+    malformed lines: any other byte, a line with other than two fields,
+    a longer id, a lone `\r`, and an id with a leading zero (so `007`
+    and `7` stay two nodes). The comments of a file with `#` lines are
+    blanked in a copy that replaces the bytes read.
 
     The parser's temporaries are several times the size of the network.
     Once they are freed, the heap is trimmed, so that what the process
@@ -272,93 +278,145 @@ except (AttributeError, OSError, TypeError):  # no glibc: nothing to trim
 
 def _read_edge_list(path: Path) -> Network:
     data = path.read_bytes()
-    if not data.strip():
+    if not data or data.isspace():
         raise EdgeListError(f"{path}: empty edge list")
-    pairs = _integer_pairs(data)
-    if pairs is None:
-        return _load_general(path, data)
+    if b"#" in data:
+        # the copy that gets blanked replaces the bytes read
+        buf = np.frombuffer(data, dtype=np.uint8).copy()
+        del data
+        data = _blank_comments(buf)
+        del buf
+    ids = None if data is None else _integer_values(data)
     del data
-    u, v = pairs
-    m = len(u)
-    if m == 0:
+    if ids is None:
+        return _load_general(path, path.read_bytes())
+    if not len(ids):
         raise EdgeListError(f"{path}: no edges found")
-    ext, inv = np.unique(np.concatenate(pairs), return_inverse=True)
-    del pairs, u, v
-    return Network.from_edges(inv[:m], inv[m:], ext_ids=ext)
+    ext, inv = _relabel(ids)
+    del ids
+    return Network.from_edges(inv[0::2], inv[1::2], ext_ids=ext)
+
+
+def _relabel(ids):
+    """`np.unique(ids, return_inverse=True)` for nonempty, nonnegative
+    int64 `ids`, from one sort of packed keys (see `load_edge_list`).
+    Overwrites `ids`."""
+    b = (len(ids) - 1).bit_length()
+    if int(ids.max()) >= 1 << (62 - b):
+        return np.unique(ids, return_inverse=True)
+    key = ids
+    key <<= b
+    key |= np.arange(len(key))
+    key.sort()
+    pos = key & ((1 << b) - 1)
+    key >>= b
+    first = run_starts(key)
+    ext = key[first]
+    rank = np.cumsum(first, out=key)
+    rank -= 1
+    inv = np.empty_like(rank)
+    inv[pos] = rank
+    return ext, inv
 
 
 _MAX_DIGITS = 18  # every 18-digit decimal fits in an int64
+_POW10 = [10**k for k in range(1, _MAX_DIGITS)]
 
 
 def _integer_pairs(data: bytes):
     """Endpoint arrays of an all-integer edge list, or None to hand off.
 
-    Accepts exactly the grammar described in `load_edge_list`, and on
-    it yields the pairs `_load_general` would read, with each token
-    parsed as an integer. Because no accepted token has a leading zero,
-    every value prints back as the token it came from.
+    Accepts lines of exactly two digit runs of at most 18 digits with
+    no leading zero, separated and optionally surrounded by spaces or
+    tabs; blank lines; `#` lines of printable ASCII and tabs; and `\n`
+    or `\r\n` line ends. The text after the last LF is a line too. On
+    such a file it yields the pairs `_load_general` would read, with
+    each token parsed as an integer. Because no accepted token has a
+    leading zero, every value prints back as the token it came from.
 
-    The grammar is checked with `bytes.translate`, byte masks and
-    per-token arrays, each deleted as soon as it is used up, and the
-    values come from one `np.fromstring` call. A file with `#` lines is read from a copy
-    whose comment bytes are blanked.
+    `_blank_comments` checks the comments and blanks them in a copy.
+    `_integer_values` then checks the rest, each check one pass over
+    the bytes or the tokens:
+
+    - every CR is followed by an LF, and `bytes.translate` leaves
+      nothing once digits, spaces, tabs, CRs and LFs are deleted (which
+      fills no array the size of the file);
+    - the tokens start where a digit follows a non-digit. Taken in file
+      order, the token starts and the LFs cut into runs of starts, one
+      run per line, and every run must hold 0 or 2 starts;
+    - one `np.fromstring` call reads every token. A value's width is
+      the count of digits it prints with, up to 18. A token of at most
+      18 digits has at least its value's width, and more when it has a
+      leading zero; a wider token has more than 18 whatever its value
+      (`fromstring` saturates one too wide for int64). So the tokens
+      are exactly the printed values when the file's digit count
+      equals the summed widths.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if b"\r" in data:
+    if b"#" in data:
+        data = _blank_comments(np.frombuffer(data, dtype=np.uint8).copy())
+    value = None if data is None else _integer_values(data)
+    return None if value is None else (value[0::2], value[1::2])
+
+
+def _blank_comments(buf):
+    """The bytes of `buf` with its `#` lines blanked, or None to hand off.
+
+    `buf` is a writable uint8 array of the file and is blanked in place.
+    A comment runs from a `#` that starts a line up to the line's LF
+    and may hold printable ASCII, tabs and CRs. Every comment byte but
+    a CR becomes a space; a CR stays for `_integer_values` to check.
+    """
+    newline = np.flatnonzero(buf == 10)
+    starts = np.concatenate([[0], newline + 1])
+    starts = starts[starts < len(buf)]
+    starts = starts[buf[starts] == ord("#")]
+    ends = np.append(newline, len(buf))[np.searchsorted(newline, starts)]
+    del newline
+    delta = np.zeros(len(buf) + 1, dtype=np.int8)
+    delta[starts] = 1
+    delta[ends] = -1
+    comment = np.cumsum(delta[:-1], dtype=np.int8).view(bool)
+    del delta
+    inside = buf[comment]
+    if not ((inside - np.uint8(32) < 95) | (inside == 9) | (inside == 13)).all():
+        return None
+    inside[inside != 13] = ord(" ")
+    buf[comment] = inside
+    del comment, inside
+    return buf.tobytes()
+
+
+def _integer_values(text: bytes):
+    """The tokens of `text`, which holds no `#` line, as int64 in file
+    order, or None to hand off. `_integer_pairs` lists the checks."""
+    buf = np.frombuffer(text, dtype=np.uint8)
+    if b"\r" in text:
         cr = np.flatnonzero(buf == 13)
         if cr[-1] == len(buf) - 1 or (buf[cr + 1] != 10).any():
             return None
-    newline = np.flatnonzero(buf == 10)
-    text = data
-    if b"#" in data:
-        starts = np.concatenate([[0], newline + 1])
-        starts = starts[starts < len(buf)]
-        starts = starts[buf[starts] == ord("#")]
-        at = np.searchsorted(newline, starts)
-        ends = np.append(newline, len(buf))[at]
-        delta = np.zeros(len(buf) + 1, dtype=np.int8)
-        delta[starts] = 1
-        delta[ends] = -1
-        comment = np.cumsum(delta[:-1], dtype=np.int8).view(bool)
-        del delta
-        # a comment runs up to its line's LF: printable ASCII, tab or CR
-        inside = buf[comment]
-        if not ((inside - np.uint8(32) < 95) | (inside == 9) | (inside == 13)).all():
-            return None
-        del inside
-        blank = buf.copy()
-        blank[comment] = ord(" ")
-        del comment
-        text = blank.tobytes()
-        del blank
-        buf = np.frombuffer(text, dtype=np.uint8)
-    # deleting every byte that may stand outside a comment leaves nothing;
-    # unlike a byte mask or table, this costs no array the size of the file
     if text.translate(None, b"0123456789\t\n\r "):
         return None
 
     digit = (buf - np.uint8(ord("0"))) < 10
-    edge = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    digits = np.count_nonzero(digit)
+    start = np.empty_like(digit)
+    start[:1] = digit[:1]
+    np.greater(digit[1:], digit[:-1], out=start[1:])
     del digit
-    first = np.flatnonzero(edge == 1)
-    length = np.flatnonzero(edge == -1)
-    length -= first
-    del edge
-    count = len(first)
+    count = np.count_nonzero(start)
     if count == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    if count % 2 or length.max() > _MAX_DIGITS:
+        return np.empty(0, dtype=np.int64)
+    start |= buf == 10
+    event = np.flatnonzero(start)
+    del start
+    newline = np.flatnonzero(buf[event] == 10)
+    del event
+    # the starts between two LFs, and before the first and after the last
+    run = np.diff(newline, prepend=-1, append=count + len(newline)) - 1
+    del newline
+    if ((run | 2) != 2).any():  # a run other than 0 or 2
         return None
-    if ((length > 1) & (buf[first] == ord("0"))).any():
-        return None
-    del length
-    # token 2i and 2i+1 must share a line, and the next pair start a new one
-    line = np.searchsorted(newline, first)
-    del newline, first
-    if (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
-        return None
-    del line
+    del run
 
     # np.fromstring parses past the end of its buffer up to a NUL, which a
     # bytes object has and an array need not, so it reads `text` and not
@@ -368,7 +426,12 @@ def _integer_pairs(data: bytes):
     value = np.fromstring(text, dtype=np.int64, sep=" ")
     if len(value) != count:
         return None
-    return value[0::2], value[1::2]
+    # one digit, plus one per power of ten up to the value, up to 10**17
+    top = int(value.max())
+    width = count + sum(np.count_nonzero(value >= p) for p in _POW10 if p <= top)
+    if width != digits:
+        return None
+    return value
 
 
 def _load_general(path: Path, data: bytes) -> Network:

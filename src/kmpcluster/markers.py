@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import Cluster, Clustering
+from .clustering import Cluster, Clustering, as_ids
 from .errors import MarkerFileError
 from .graph import Network
 
@@ -121,7 +121,7 @@ def always_coclustered(
     """
     if not runs:
         raise ValueError("need at least one run")
-    markers = np.unique(np.asarray(markers, dtype=np.int64))
+    markers = as_ids(markers)
     if not len(markers):
         return []
     assign = _marker_assignments(panel, runs)[:, markers]
@@ -146,7 +146,7 @@ def smallest_common_cluster(
     in one non-singleton cluster; if run r does not, that is an error
     naming r. Ties on size go to the earliest run.
     """
-    markers = np.unique(np.asarray(markers, dtype=np.int64))
+    markers = as_ids(markers)
     if not len(markers):
         raise ValueError("no markers given")
     if not runs:
@@ -155,7 +155,7 @@ def smallest_common_cluster(
     best: tuple[int, Cluster] | None = None
     for r, clustering in enumerate(runs):
         row = assign[r]
-        if (row < 0).any() or len(np.unique(row)) != 1:
+        if (row < 0).any() or (row != row[0]).any():
             raise ValueError(
                 f"markers are not co-clustered in run {r}"
             )

@@ -280,11 +280,14 @@ def plain_line(draw):
 def handoff_line(draw):
     """A line the fast path must leave to the string path.
 
-    Leading zeros, ids too wide for int64, a field count other than
-    two, an edge split over two lines, a lone carriage return, and a
-    comment holding a character the string path reads as a line break.
+    Leading zeros, ids too wide for int64 or wider than 18 digits, a
+    field count other than two, an edge split over two lines, a lone
+    carriage return, and a comment holding a character the string path
+    reads as a line break.
     """
-    kind = draw(st.sampled_from(["zero", "long", "fields", "split", "cr", "break"]))
+    kind = draw(
+        st.sampled_from(["zero", "long", "wide", "fields", "split", "cr", "break"])
+    )
     if kind == "break":
         brk = draw(st.sampled_from(["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]))
         return f"# é{brk}{draw(_IDS)} {draw(_IDS)}"
@@ -294,6 +297,10 @@ def handoff_line(draw):
         fields[draw(st.integers(0, 1))] = "0" + draw(_IDS)
     elif kind == "long":
         fields[draw(st.integers(0, 1))] = str(draw(st.integers(2**63, 10**20)))
+    elif kind == "wide":
+        # 19 and 20 digits whose values fit in an int64, small or not
+        wide = ["0" * 18 + "1", str(10**18), str(10**19 - 1), "0" + str(10**18)]
+        fields[draw(st.integers(0, 1))] = draw(st.sampled_from(wide))
     elif kind == "fields":
         fields = [draw(_IDS) for _ in range(draw(st.sampled_from([1, 3, 4])))]
     elif kind == "split":
@@ -349,7 +356,7 @@ def test_integer_fast_path_matches_string_path(tmp_path_factory, case):
 @settings(max_examples=200, deadline=None)
 @given(
     ids=st.lists(
-        st.integers(0, 10**18 - 1) | st.sampled_from([10**17, 10**18 - 1]),
+        st.integers(0, 10**18 - 1) | st.sampled_from([0, 10**17, 10**18 - 1]),
         min_size=2,
         max_size=12,
     ).filter(lambda ids: len(ids) % 2 == 0),
@@ -364,6 +371,54 @@ def test_integer_pairs_reads_18_digit_ids_exactly(ids, comment):
     assert pairs is not None
     assert pairs[0].tolist() == ids[0::2]
     assert pairs[1].tolist() == ids[1::2]
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        (b"0\t0\n0 1", [(0, 0), (0, 1)]),
+        (b"0000000000000000001\t2\n", None),
+        (b"1\t1000000000000000000\n", None),
+        (b"12345678901234567890\t1\n", None),
+        (b"1\t2\n3", None),
+        (b"1\t2\r\n3 4 5", None),
+        (b"#\r\n1 2\r\n", [(1, 2)]),
+        (b"# a lone\rCR\n1 2\n", None),
+        (b"# only comments\n\n \t\r\n#\n\t\n# and blanks", []),
+    ],
+)
+def test_integer_pairs_edge_cases(text, want):
+    pairs = graph._integer_pairs(text)
+    if want is None:
+        assert pairs is None
+    else:
+        assert list(zip(pairs[0].tolist(), pairs[1].tolist())) == want
+
+
+@st.composite
+def endpoint_ids(draw):
+    """The ids of 2m endpoints: some near the cutoff 2**(62 - b) above
+    which `_relabel` cannot pack them, some up to 10**18 - 1, some small
+    and repeated; a single edge among them."""
+    m = draw(st.integers(1, 40))
+    cutoff = 2 ** (62 - (2 * m - 1).bit_length())
+    near = st.integers(cutoff - 3, cutoff + 2)
+    one = st.integers(0, 20) | st.integers(0, 10**18 - 1) | near
+    ids = draw(st.lists(one, min_size=2 * m, max_size=2 * m))
+    repeat = draw(st.lists(st.integers(0, 2 * m - 1), max_size=2 * m))
+    for i, j in zip(repeat[0::2], repeat[1::2]):
+        ids[i] = ids[j]
+    return np.array(ids, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=endpoint_ids())
+def test_relabel_matches_np_unique(ids):
+    ext, inv = graph._relabel(ids.copy())
+    want_ext, want_inv = np.unique(ids, return_inverse=True)
+    assert ext.dtype == want_ext.dtype and inv.dtype == want_inv.dtype
+    assert ext.tolist() == want_ext.tolist()
+    assert inv.tolist() == want_inv.tolist()
 
 
 def test_integer_network_resolves_only_canonical_ids(tmp_path):
