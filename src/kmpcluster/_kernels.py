@@ -4,20 +4,26 @@ Every function here takes plain numpy arrays; nothing in this module
 knows about the Network class. Callers pass (indptr, indices) plus
 whatever mask or output arrays the kernel needs.
 
-Every kernel but one is whole-array numpy: the neighbour counts
-`subset_degrees`, `induced_edges` and `count_neighbors_in` (which no
-module here calls; the benchmark's tracer still wraps it by name),
-`cut_counts`, `extract_local_csr`, `matvec`, `peel`, `settle` (which
-keeps core numbers exact as nodes are deleted), `component_labels`
-(with `local_components`, its step on a local CSR), `sweep_objective`
-and `best_cluster_per_node`. The only loop is `refine_split`, whose
-steps depend on the steps before it; it runs as ordinary Python.
+Every kernel but one is numpy over whole arrays or over batches of
+them: the neighbour counts `subset_degrees`, `induced_edges` and
+`count_neighbors_in` (which no module here calls; the benchmark's
+tracer still wraps it by name), `cut_counts`, `extract_local_csr`,
+`compact`, `matvec`, `peel`, `settle` (which keeps core numbers exact
+as nodes are deleted), `component_labels` (with `local_components`,
+its step on a local CSR), `sweep_objective` and
+`best_cluster_per_node`. The only loop over nodes is `refine_split`,
+whose steps depend on the steps before it; it runs as ordinary Python.
 
 `extract_local_csr`, `peel` and `component_labels` take an optional
 trailing `group` array, one id per node of `sub`. Arcs between groups
 are then ignored, so one call answers for many disjoint subgraphs at
 once, each exactly as if it were called alone. `matvec` and
 `sweep_objective` work on such a block-diagonal local CSR as it is.
+
+`extract_local_csr` gathers its rows, and `compact` (which drops the
+repeated arc keys of `Network.from_edges`) moves its entries, at most
+`_BATCH` arcs at a time, so their scratch does not grow with the graph;
+what they keep is joined or shrunk once at the end.
 """
 
 from __future__ import annotations
@@ -26,6 +32,10 @@ import numpy as np
 
 # Nothing here is compiled; the benchmark reports this as its backend.
 NUMBA = False
+
+# Arcs handled at a time by `extract_local_csr` and `compact`; it bounds
+# their scratch, not their results.
+_BATCH = 1 << 16
 
 
 def _gather(indptr, sub):
@@ -208,19 +218,49 @@ def extract_local_csr(indptr, indices, sub, n, group=None):
     kept only when both its ends are in `sub` and share a group, which
     makes the result the disjoint union of the groups' induced
     subgraphs.
+
+    The rows are gathered in batches of consecutive rows holding at
+    most `_BATCH` arcs (a longer row is a batch of its own). So beside
+    the result, the n-sized map to local ids and the running arc count
+    per row, the scratch is a few batch-sized arrays; each batch's kept
+    arcs are joined once at the end.
     """
     loc = np.full(n, -1, np.int64)
     loc[sub] = np.arange(len(sub))
-    arcs, rows = _gather(indptr, sub)
-    lind = loc[indices[arcs]]
-    del arcs, loc  # lowers the peak on large subsets
-    keep = lind >= 0
-    if group is not None:
-        # where lind is -1, group[-1] is read but keep is already False
-        keep &= group[lind] == group[rows]
+    # arcs up to the end of each row, to cut the rows into batches
+    end = np.cumsum(indptr[sub + 1] - indptr[sub])
     lptr = np.zeros(len(sub) + 1, np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=len(sub)), out=lptr[1:])
-    return lptr, lind[keep]
+    parts = []
+    lo = 0
+    while lo < len(sub):
+        done = int(end[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(end, done + _BATCH, "right")), lo + 1)
+        arcs, rows = _gather(indptr, sub[lo:hi])
+        lind = loc[indices[arcs]]
+        keep = lind >= 0
+        if group is not None:
+            # where lind is -1, group[-1] is read but keep is already False
+            keep &= group[lind] == group[lo:hi][rows]
+        lptr[lo + 1 : hi + 1] = np.bincount(rows[keep], minlength=hi - lo)
+        parts.append(lind[keep])
+        lo = hi
+    np.cumsum(lptr, out=lptr)
+    if len(parts) == 1:  # one batch: nothing to join
+        return lptr, parts[0]
+    return lptr, np.concatenate([np.empty(0, np.int64), *parts])
+
+
+def compact(a, keep):
+    """Keep the entries of `a` where the bool array `keep` is set, in
+    order, in place: they move to the front a batch at a time, and `a`
+    shrinks to them. `a` must own its data, and no view of it may
+    remain in use."""
+    w = 0
+    for lo in range(0, len(a), _BATCH):
+        part = a[lo : lo + _BATCH][keep[lo : lo + _BATCH]]
+        a[w : w + len(part)] = part
+        w += len(part)
+    a.resize(w, refcheck=False)
 
 
 def matvec(lptr, lind, x, out, rows=None):

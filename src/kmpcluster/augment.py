@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .clustering import Cluster, Clustering, union_ids
+from .clustering import Cluster, Clustering, split_by, union_ids
 from .errors import ConfigError
 from .graph import Network
 
@@ -45,8 +45,7 @@ def augment(net: Network, clustering: Clustering, p: int) -> Clustering:
         net.indptr, net.indices, owner, core_size, min_id, candidates, p
     )
     out = []
-    for i, c in enumerate(targets):
-        joined = candidates[choice == i]
+    for c, joined in zip(targets, split_by(choice, candidates, len(targets))):
         if len(joined):
             out.append(
                 Cluster(core=c.core, noncore=union_ids([c.noncore, joined]))

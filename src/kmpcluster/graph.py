@@ -77,25 +77,28 @@ class Network:
         if len(u) and (u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n):
             raise ValueError("endpoint out of range")
         report = LoadReport()
-        keep = u != v
-        report.self_loops_dropped = int(len(u) - keep.sum())
-        u = u[keep]
-        v = v[keep]
-        edges = len(u)
-        # one arc key src * n + dst per direction; sorting the keys
-        # orders the arcs by source, then by destination
-        arcs = np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u])
-        del u, v
+        # one arc key src * n + dst per direction, filled in place;
+        # sorting the keys orders the arcs by source, then by destination
+        arcs = np.empty(2 * len(u), dtype=np.int64)
+        fwd, back = arcs[: len(u)], arcs[len(u) :]
+        np.multiply(u, n, out=fwd)
+        fwd += v
+        np.multiply(v, n, out=back)
+        back += u
+        loop = u == v
+        report.self_loops_dropped = int(np.count_nonzero(loop))
+        if report.self_loops_dropped:
+            # past every arc key, so loops sort last and are cut off
+            np.copyto(fwd, n * n, where=loop)
+            np.copyto(back, n * n, where=loop)
+        del fwd, back, loop  # no view of arcs may outlive its resize
         arcs.sort()
-        arcs = arcs[run_starts(arcs)]
+        arcs.resize(len(arcs) - 2 * report.self_loops_dropped, refcheck=False)
+        _kernels.compact(arcs, run_starts(arcs))
         m = len(arcs) // 2
-        report.duplicate_edges_dropped = edges - m
-        src = arcs // n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        src *= n
-        indices = arcs
-        indices -= src
+        report.duplicate_edges_dropped = len(u) - report.self_loops_dropped - m
+        indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
+        indices = np.remainder(arcs, n, out=arcs)
         return cls(indptr, indices, m, ext_ids=ext_ids, load_report=report)
 
     # -- basic queries ---------------------------------------------------
@@ -128,14 +131,17 @@ class Network:
 
     def external_ids(self, nodes) -> list[str]:
         """External labels of `nodes`, in the order given."""
+        return list(map(str, self._labels(nodes)))
+
+    def _labels(self, nodes) -> list:
+        """External labels of `nodes` as held: Python ints where the ids
+        are integers, each formatting as its label, else the labels."""
         nodes = np.asarray(nodes, dtype=np.int64)
         if self._ext is None:
-            labels = nodes.tolist()
-        elif isinstance(self._ext, np.ndarray):
-            labels = self._ext[nodes].tolist()
-        else:
-            labels = [self._ext[v] for v in nodes.tolist()]
-        return list(map(str, labels))
+            return nodes.tolist()
+        if isinstance(self._ext, np.ndarray):
+            return self._ext[nodes].tolist()
+        return [self._ext[v] for v in nodes.tolist()]
 
     @property
     def integer_ids(self) -> bool:
@@ -253,13 +259,19 @@ def load_edge_list(path) -> Network:
     string path, which numbers the nodes in string order and reports
     malformed lines: any other byte, a line with other than two fields,
     a longer id, a lone `\r`, and an id with a leading zero (so `007`
-    and `7` stay two nodes). The comments of a file with `#` lines are
-    blanked in a copy that replaces the bytes read.
+    and `7` stay two nodes).
 
-    The parser's temporaries are several times the size of the network.
-    Once they are freed, the heap is trimmed, so that what the process
-    holds afterwards is the network and not whatever freed memory the
-    allocator happened to keep.
+    The integer path reads the file in chunks of about `_CHUNK` bytes
+    that end at a line end, and never holds it whole; the string path
+    reads it whole, again. So the integer path's peak is set by the
+    int64 ids of all the endpoints, not by the text: they are gathered
+    chunk by chunk and joined once, relabelled in place beside int32
+    positions and ranks, and the CSR is built from one array of arc keys
+    that is sorted and stripped of repeats in place. At the peak, about
+    twice the network's arrays are live, plus a few chunks of scratch.
+    Once the temporaries are freed, the heap is trimmed, so that what
+    the process holds afterwards is the network and not whatever freed
+    memory the allocator happened to keep.
     """
     net = _read_edge_list(Path(path))
     # glibc keeps a freed block resident while a live block sits above
@@ -277,44 +289,94 @@ except (AttributeError, OSError, TypeError):  # no glibc: nothing to trim
 
 
 def _read_edge_list(path: Path) -> Network:
-    data = path.read_bytes()
-    if not data or data.isspace():
-        raise EdgeListError(f"{path}: empty edge list")
-    if b"#" in data:
-        # the copy that gets blanked replaces the bytes read
-        buf = np.frombuffer(data, dtype=np.uint8).copy()
-        del data
-        data = _blank_comments(buf)
-        del buf
-    ids = None if data is None else _integer_values(data)
-    del data
+    ids = _read_integers(path)
     if ids is None:
-        return _load_general(path, path.read_bytes())
-    if not len(ids):
-        raise EdgeListError(f"{path}: no edges found")
+        data = path.read_bytes()
+        if not data or data.isspace():
+            raise EdgeListError(f"{path}: empty edge list")
+        return _load_general(path, data)
     ext, inv = _relabel(ids)
     del ids
     return Network.from_edges(inv[0::2], inv[1::2], ext_ids=ext)
 
 
+_CHUNK = 1 << 18  # bytes read at a time (see `_line_chunks`)
+
+
+def _read_integers(path: Path):
+    """The tokens of an integer edge list as int64 in file order, or None
+    to hand off; raises EdgeListError for an empty or edgeless file.
+
+    The file is read in `_line_chunks`, and each chunk goes through
+    `_blank_comments` and `_integer_values` alone. That is the same as
+    one pass over the whole file: every check is per line or per token,
+    a chunk starts a line, and only the last chunk can end without an
+    LF, so no CR/LF pair and no token is cut.
+    """
+    parts = []
+    blank = True
+    with open(path, "rb") as f:
+        for chunk in _line_chunks(f):
+            blank = blank and chunk.isspace()
+            if b"#" in chunk:
+                chunk = _blank_comments(np.frombuffer(chunk, dtype=np.uint8).copy())
+            value = None if chunk is None else _integer_values(chunk)
+            if value is None:
+                return None
+            parts.append(value)
+    if blank:
+        raise EdgeListError(f"{path}: empty edge list")
+    ids = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if not len(ids):
+        raise EdgeListError(f"{path}: no edges found")
+    return ids
+
+
+def _line_chunks(f):
+    """The bytes of the binary file `f`, in chunks that end at their last
+    LF; each takes in `_CHUNK` bytes more, or as many as it takes to
+    reach an LF. Never yields an empty chunk."""
+    head = []
+    while block := f.read(_CHUNK):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            # joining a lone bytes object returns it, so a file of one
+            # block that ends in an LF is never copied
+            yield b"".join([*head, block[:cut]])
+            head = []
+            block = block[cut:]
+        if block:
+            head.append(block)
+    if head:
+        yield b"".join(head)
+
+
 def _relabel(ids):
     """`np.unique(ids, return_inverse=True)` for nonempty, nonnegative
     int64 `ids`, from one sort of packed keys (see `load_edge_list`).
-    Overwrites `ids`."""
+    Overwrites `ids` and returns it as the inverse. Positions and ranks
+    are kept in int32 when they fit."""
     b = (len(ids) - 1).bit_length()
     if int(ids.max()) >= 1 << (62 - b):
         return np.unique(ids, return_inverse=True)
+    index = np.int32 if b < 32 else np.int64
     key = ids
     key <<= b
-    key |= np.arange(len(key))
+    key |= np.arange(len(key), dtype=index)
     key.sort()
-    pos = key & ((1 << b) - 1)
+    pos = np.empty(len(key), dtype=index)
+    np.bitwise_and(key, (1 << b) - 1, out=pos, casting="unsafe")
     key >>= b
     first = run_starts(key)
     ext = key[first]
-    rank = np.cumsum(first, out=key)
+    # counted in place: a cumsum of the bools would cast them in a copy
+    rank = np.empty(len(key), dtype=index)
+    rank[...] = first
+    del first
+    np.cumsum(rank, out=rank)
     rank -= 1
-    inv = np.empty_like(rank)
+    # the keys are spent, so their array takes the inverse
+    inv = key
     inv[pos] = rank
     return ext, inv
 
@@ -463,8 +525,20 @@ def write_edge_list(net: Network, path) -> None:
             f.write(f"{net.external_id(int(a))}\t{net.external_id(int(b))}\n")
 
 
+_ROWS = 1 << 16  # rows a writer formats at a time
+
+
+def label_batches(net: Network, nodes):
+    """The external labels of `nodes`, `_ROWS` at a time, for a writer
+    to format straight into its rows (see `Network._labels`)."""
+    for lo in range(0, len(nodes), _ROWS):
+        yield net._labels(nodes[lo : lo + _ROWS])
+
+
 def write_id_map(net: Network, path) -> None:
     """Write `external<TAB>internal` rows for every node."""
-    ids = net.external_ids(net.all_nodes())
     with open(path, "w") as f:
-        f.write("".join([f"{e}\t{v}\n" for v, e in enumerate(ids)]))
+        v = 0
+        for labels in label_batches(net, net.all_nodes()):
+            f.write("".join([f"{e}\t{i}\n" for i, e in enumerate(labels, v)]))
+            v += len(labels)

@@ -9,8 +9,9 @@ diffs stable across runs.
 A clustering file of integer ids, against a network loaded on its
 integer path, is read with whole-array numpy; every other file, and
 every file with an error in it, is read row by row, and only that
-reader words a `ClusteringFileError`. The writers join the labels
-from `Network.external_ids` into text, not one row at a time.
+reader words a `ClusteringFileError`. The writers format and write
+their rows a batch at a time (`graph.label_batches`), not one row at
+a time and not the whole file at once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .clustering import Cluster, Clustering, split_by
 from .errors import ClusteringFileError
-from .graph import Network, _integer_pairs
+from .graph import Network, _integer_pairs, label_batches
 
 _MAX_LISTED = 10
 
@@ -31,8 +32,9 @@ def write_clustering(net: Network, clustering: Clustering, path) -> None:
     with open(path, "w") as f:
         for ci, c in enumerate(clustering.clusters):
             for part, role in ((c.core, "core"), (c.noncore, "noncore")):
-                ids = net.external_ids(part)
-                f.write("".join([f"{e}\t{ci}\t{role}\n" for e in ids]))
+                tail = f"\t{ci}\t{role}\n"
+                for labels in label_batches(net, part):
+                    f.write("".join([f"{e}{tail}" for e in labels]))
 
 
 def load_clustering(net: Network, path) -> Clustering:
@@ -151,10 +153,10 @@ def _group_rows(net: Network, ids, keys, noncore) -> Clustering:
 
 def write_node_list(net: Network, nodes, path) -> None:
     """One external id per line, in internal id order."""
-    ids = net.external_ids(np.sort(np.asarray(nodes, dtype=np.int64)))
+    nodes = np.sort(np.asarray(nodes, dtype=np.int64))
     with open(path, "w") as f:
-        if ids:
-            f.write("\n".join(ids) + "\n")
+        for labels in label_batches(net, nodes):
+            f.write("".join([f"{e}\n" for e in labels]))
 
 
 def write_json(payload: dict, path) -> None:

@@ -118,6 +118,26 @@ def test_matches_scan_oracle_under_shuffles():
             assert got == want
 
 
+def test_matches_scan_oracle_on_thousands_of_clusters():
+    # 2000 triangles, and 600 candidates each tied to 1 to 3 nodes of
+    # each of 3 triangles: many ties in ratio, and many clusters that
+    # gain nobody
+    rng = np.random.default_rng(2207)
+    cores = np.arange(6000).reshape(2000, 3)
+    edges = [e for c in cores.tolist() for e in synth.clique_edges(c)]
+    candidates = list(range(6000, 6600))
+    for x in candidates:
+        for c in rng.choice(len(cores), 3, replace=False):
+            ends = rng.choice(cores[c], int(rng.integers(1, 4)), replace=False)
+            edges += [(x, int(y)) for y in ends]
+    net = synth.net_from(edges, n=6600)
+    result = augment(net, build(net, cores), p=2)
+    core_sets = [set(c.core.tolist()) for c in result.clusters]
+    assert len(core_sets) == 2000
+    want = oracles.assign_by_scan(net, core_sets, candidates, 2)
+    assert want and membership(result) == want
+
+
 def test_added_nodes_are_p_valid():
     rng = np.random.default_rng(515)
     for _ in range(8):

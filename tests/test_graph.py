@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 import synth
-from kmpcluster import graph
+from kmpcluster import _kernels, graph
 from kmpcluster import (
     EdgeListError,
     Network,
@@ -234,12 +236,15 @@ def endpoint_pairs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=endpoint_pairs())
-def test_from_edges_matches_set_oracle(case):
+@given(case=endpoint_pairs(), batch=st.sampled_from([1, 3, None]))
+def test_from_edges_matches_set_oracle(case, batch):
     pairs, n = case
     u = [a for a, _ in pairs]
     v = [b for _, b in pairs]
-    net = Network.from_edges(u, v, n=n)
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:  # repeats are dropped this many arcs at a time
+            mp.setattr(_kernels, "_BATCH", batch)
+        net = Network.from_edges(u, v, n=n)
     if n is None:
         n = max(u + v) + 1 if pairs else 0
     adj = {x: set() for x in range(n)}
@@ -259,7 +264,7 @@ def test_from_edges_matches_set_oracle(case):
     assert net.load_report.duplicate_edges_dropped == len(pairs) - loops - m
 
 
-_IDS = st.integers(min_value=0, max_value=10**12).map(str)
+_IDS = (st.integers(0, 10**12) | st.integers(10**17, 10**18 - 1)).map(str)
 _PAD = st.text(" \t", max_size=2)
 _SEP = st.text(" \t", min_size=1, max_size=3)
 
@@ -393,6 +398,74 @@ def test_integer_pairs_edge_cases(text, want):
         assert pairs is None
     else:
         assert list(zip(pairs[0].tolist(), pairs[1].tolist())) == want
+
+
+def load_outcome(path):
+    """What loading `path` gives: ids, CSR and report, or the error."""
+    try:
+        net = load_edge_list(path)
+    except EdgeListError as e:
+        return str(e)
+    ids = [net.external_id(v) for v in range(net.n)]
+    csr = (net.indptr.tolist(), net.indices.tolist())
+    return ids, csr, net.load_report.to_dict(), net.integer_ids
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=integer_edge_list(), chunk=st.sampled_from([1, 2, 7, 64]))
+def test_chunked_read_matches_one_read(tmp_path_factory, case, chunk):
+    text, _ = case
+    path = tmp_path_factory.mktemp("chunk") / "edges.tsv"
+    path.write_bytes(text.encode())
+    want = load_outcome(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_CHUNK", chunk)
+        assert load_outcome(path) == want
+
+
+@pytest.mark.parametrize(
+    "text, chunk, want",
+    [
+        # a hand-off byte in a late chunk still sends the file to the
+        # string path, which numbers the ids in string order
+        ("1\t2\n" * 40 + "10.1000/x\t3\n", 16, ["1", "10.1000/x", "2", "3"]),
+        ("5 \t" + " " * 40 + "6\r\n7\t5", 8, ["5", "6", "7"]),
+        (" \n\t\r\n  \n", 2, "empty edge list"),
+        ("\x0c\n \n", 1, "empty edge list"),
+        ("# a\n\n#b c\r\n# 1 2", 3, "no edges found"),
+    ],
+)
+def test_chunk_boundaries(tmp_path, monkeypatch, text, chunk, want):
+    path = tmp_path / "edges.tsv"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(graph, "_CHUNK", chunk)
+    if isinstance(want, str):
+        with pytest.raises(EdgeListError, match=want):
+            load_edge_list(path)
+    else:
+        net = load_edge_list(path)
+        assert [net.external_id(v) for v in range(net.n)] == want
+
+
+def test_load_peak_memory_is_bounded_by_the_network(tmp_path, monkeypatch):
+    # 60k edges over 20k nine-digit ids, read in about 70 chunks; the
+    # loader's peak is about 1.9 times the network's arrays, and was
+    # about 3.2 times when the file was read whole
+    rng = np.random.default_rng(5)
+    ids = rng.choice(900_000_000, 20_000, replace=False) + 100_000_000
+    u, v = ids[rng.integers(0, len(ids), (2, 60_000))]
+    path = tmp_path / "edges.tsv"
+    synth.write_edge_file(path, u, v)
+    monkeypatch.setattr(graph, "_CHUNK", 1 << 14)
+    monkeypatch.setattr(_kernels, "_BATCH", 1 << 11)
+    tracemalloc.start()
+    try:
+        net = load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    network = net.indptr.nbytes + net.indices.nbytes + net._ext.nbytes
+    assert peak <= 2 * network + 16 * graph._CHUNK
 
 
 @st.composite

@@ -17,8 +17,9 @@ from kmpcluster import (
     load_edge_list,
     mds_distances,
     write_clustering,
+    write_id_map,
 )
-from kmpcluster import io
+from kmpcluster import graph, io
 from kmpcluster.cli import main
 
 
@@ -56,6 +57,39 @@ def test_clustering_round_trip(tmp_path):
         path = tmp_path / f"t{trial}.tsv"
         write_clustering(net, clustering, path)
         assert load_clustering(net, path).same_clusters(clustering)
+
+
+@pytest.mark.parametrize("rows", [1, 2, None])
+def test_writers_write_the_rows_of_a_row_by_row_loop(tmp_path, monkeypatch, rows):
+    if rows is not None:  # rows written per batch
+        monkeypatch.setattr(graph, "_ROWS", rows)
+    for text in ("123456789012\t7\n7\t8\n8\t90\n", "b\ta\na\tc\nc\td\n"):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text(text)
+        net = load_edge_list(edges)
+        clustering = Clustering(
+            [Cluster(core=[0, 1], noncore=[2]), Cluster(core=[3])], net.n
+        )
+        write_clustering(net, clustering, tmp_path / "c.tsv")
+        write_id_map(net, tmp_path / "ids.tsv")
+        io.write_node_list(net, [3, 0, 2], tmp_path / "nodes.tsv")
+        io.write_node_list(net, [], tmp_path / "none.tsv")
+        label = net.external_id
+        parts = [
+            (part, ci, role)
+            for ci, c in enumerate(clustering)
+            for part, role in ((c.core, "core"), (c.noncore, "noncore"))
+        ]
+        assert (tmp_path / "c.tsv").read_text() == "".join(
+            f"{label(v)}\t{ci}\t{role}\n" for part, ci, role in parts for v in part
+        )
+        assert (tmp_path / "ids.tsv").read_text() == "".join(
+            f"{label(v)}\t{v}\n" for v in range(net.n)
+        )
+        assert (tmp_path / "nodes.tsv").read_text() == "".join(
+            f"{label(v)}\n" for v in (0, 2, 3)
+        )
+        assert (tmp_path / "none.tsv").read_text() == ""
 
 
 def test_two_line_file(tmp_path):

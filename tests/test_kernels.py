@@ -7,9 +7,11 @@ network, on no nodes, on one node, or on a random part of it; the
 grouped kernels also on that part cut into random groups.
 """
 
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,22 +109,50 @@ def test_grouped_peel_and_components_match_oracles_per_group(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=network_and_subset())
-def test_local_csr_matches_adjacency_sets(case):
+@given(case=network_and_subset(), batch=st.sampled_from([1, 3, None]))
+def test_local_csr_matches_adjacency_sets(case, batch):
     net, sub, rng = case
-    lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, sub, net.n)
+    group = rng.integers(0, 3, len(sub))
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:  # rows of stars and cliques are longer than 3
+            mp.setattr(_kernels, "_BATCH", batch)
+        lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, sub, net.n)
+        grouped = _kernels.extract_local_csr(
+            net.indptr, net.indices, sub, net.n, group
+        )
     rows = local_adjacency(oracles.adjacency(net), sub)
     assert lptr.dtype == np.int64 and lind.dtype == np.int64
     assert lptr.tolist() == [0, *accumulate(len(r) for r in rows)]
     assert lind.tolist() == [j for r in rows for j in r]
 
-    group = rng.integers(0, 3, len(sub))
-    lptr, lind = _kernels.extract_local_csr(
-        net.indptr, net.indices, sub, net.n, group
-    )
+    lptr, lind = grouped
+    assert lind.dtype == np.int64
     rows = [[j for j in r if group[j] == group[i]] for i, r in enumerate(rows)]
     assert lptr.tolist() == [0, *accumulate(len(r) for r in rows)]
     assert lind.tolist() == [j for r in rows for j in r]
+
+
+def test_local_csr_peak_memory_is_bounded_by_its_output(monkeypatch):
+    # about 96k of 120k arcs gathered in 47 batches: the peak is
+    # the output twice (its batches and their join), the n-sized map to
+    # local ids, the arc count to each row and a few batches; gathering
+    # every arc at once took 2.3 times this bound
+    rng = np.random.default_rng(8)
+    n = 20_000
+    net = Network.from_edges(*rng.integers(0, n, (2, 60_000)), n=n)
+    sub = np.flatnonzero(rng.random(n) < 0.8)
+    group = rng.integers(0, 2, len(sub))
+    monkeypatch.setattr(_kernels, "_BATCH", 1 << 11)
+    tracemalloc.start()
+    try:
+        lptr, lind = _kernels.extract_local_csr(
+            net.indptr, net.indices, sub, n, group
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scratch = 8 * n + 8 * len(sub) + 16 * 8 * _kernels._BATCH
+    assert peak <= 2 * (lptr.nbytes + lind.nbytes) + scratch
 
 
 @settings(max_examples=150, deadline=None)
