@@ -11,8 +11,10 @@ tracer still wraps it by name), `cut_counts`, `extract_local_csr`,
 `compact`, `matvec`, `peel`, `settle` (which keeps core numbers exact
 as nodes are deleted), `component_labels` (with `local_components`,
 its step on a local CSR), `sweep_objective` and
-`best_cluster_per_node`. The only loop over nodes is `refine_split`,
-whose steps depend on the steps before it; it runs as ordinary Python.
+`best_cluster_per_node`. The one exception is `refine_split`, whose
+steps depend on the steps before it: it runs as ordinary Python over
+lists, one step per node a pass, and keeps each node's count of
+neighbours on side 0 up to date instead of rescanning its arcs.
 
 `extract_local_csr`, `peel` and `component_labels` take an optional
 trailing `group` array, one id per node of `sub`. Arcs between groups
@@ -334,28 +336,33 @@ def refine_split(lptr, lind, side, cut, i0, i1, n0, n1, max_sweeps, max_moves):
 
     `side` holds 0/1 per local node and is updated in place. A move is
     applied only if it strictly lowers the objective and leaves both
-    sides nonempty. Runs at most `max_sweeps` passes over the nodes and
-    at most `max_moves` accepted moves in total.
+    sides nonempty. Runs at most `max_sweeps` passes over the nodes, in
+    local id order, and at most `max_moves` accepted moves in total.
+
+    Each node's count of neighbours on side 0 is kept up to date: a move
+    changes only the counts of the mover's neighbours. So a pass costs
+    one step per node plus the arcs of the nodes that move. The sides,
+    counts and arcs are Python lists, and the objective is Python int
+    and float arithmetic.
     """
     nloc = len(side)
+    deg = np.diff(lptr)
+    rows = np.repeat(np.arange(nloc), deg)
+    zeros = np.bincount(rows[side[lind] == 0], minlength=nloc).tolist()
+    deg = deg.tolist()
+    ptr = lptr.tolist()
+    nbr = lind.tolist()
+    sides = side.tolist()
+    old = _ncut(cut, i0, i1)
     moves = 0
     for _ in range(max_sweeps):
         moved = False
         for v in range(nloc):
-            sv = side[v]
-            if sv == 0:
-                if n0 <= 1:
-                    continue
-            else:
-                if n1 <= 1:
-                    continue
-            a = 0
-            b = 0
-            for e in range(lptr[v], lptr[v + 1]):
-                if side[lind[e]] == 0:
-                    a += 1
-                else:
-                    b += 1
+            sv = sides[v]
+            if (n0 if sv == 0 else n1) <= 1:
+                continue
+            a = zeros[v]
+            b = deg[v] - a
             if sv == 0:
                 ncut = cut - b + a
                 ni0 = i0 - a
@@ -364,23 +371,13 @@ def refine_split(lptr, lind, side, cut, i0, i1, n0, n1, max_sweeps, max_moves):
                 ncut = cut - a + b
                 ni0 = i0 + a
                 ni1 = i1 - b
-            l0 = i0 + cut
-            l1 = i1 + cut
-            if l0 == 0 or l1 == 0:
-                old = np.inf
-            else:
-                old = cut / l0 + cut / l1
-            nl0 = ni0 + ncut
-            nl1 = ni1 + ncut
-            if nl0 == 0 or nl1 == 0:
-                new = np.inf
-            else:
-                new = ncut / nl0 + ncut / nl1
+            new = _ncut(ncut, ni0, ni1)
             if new < old:
-                side[v] = 1 - sv
-                cut = ncut
-                i0 = ni0
-                i1 = ni1
+                sides[v] = 1 - sv
+                step = 1 if sv else -1
+                for u in nbr[ptr[v] : ptr[v + 1]]:
+                    zeros[u] += step
+                cut, i0, i1, old = ncut, ni0, ni1, new
                 if sv == 0:
                     n0 -= 1
                     n1 += 1
@@ -390,10 +387,21 @@ def refine_split(lptr, lind, side, cut, i0, i1, n0, n1, max_sweeps, max_moves):
                 moved = True
                 moves += 1
                 if moves >= max_moves:
-                    return cut, i0, i1
-        if not moved:
+                    break
+        if not moved or moves >= max_moves:
             break
+    side[:] = sides
     return cut, i0, i1
+
+
+def _ncut(cut, i0, i1):
+    """The normalized cut of a split from its edge counts, inf when a
+    side has no edge inside the cluster."""
+    l0 = i0 + cut
+    l1 = i1 + cut
+    if l0 == 0 or l1 == 0:
+        return np.inf
+    return cut / l0 + cut / l1
 
 
 def best_cluster_per_node(indptr, indices, owner, core_size, min_id, cand, p):

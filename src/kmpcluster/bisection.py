@@ -16,12 +16,15 @@ call on it alone gives. `bipartition` is the one-cluster case.
 Two drivers turn splits into clusterings: `recursive_split` keeps
 splitting whatever fails the quality bar, `iterative_split` runs
 synchronized rounds of split-then-extract. Each bisects a whole wave or
-round with one `bipartition_many`. Both report every input node as
-either clustered or explicitly discarded.
+round in one batch. A round's clusters are subsets of the parts the
+round before kept, so `iterative_split` gathers from the network once:
+every later local graph comes from the one before it. Both report
+every input node as either clustered or explicitly discarded.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import KW_ONLY, dataclass
@@ -29,11 +32,11 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 
 from . import _kernels
-from .clustering import Clustering, all_core, disjoint_concat, union_ids
+from .clustering import Clustering, all_core, disjoint_concat, split_by, union_ids
 from .errors import ConfigError
 from .graph import Network
 from .parallel import ordered_map
-from .parsing import _core_split, _positive
+from .parsing import Subgraph, _core_split, _positive
 
 log = logging.getLogger(__name__)
 
@@ -88,32 +91,56 @@ def normalized_cut(net: Network, c1, c2) -> float:
     return cut / l0 + cut / l1
 
 
+@functools.cache
+def _popcounts():
+    """The masks `_exact_bipartition` adds a node to, which hold only the
+    first _EXACT_LIMIT - 2 nodes of a cluster, and their counts of set
+    bits. Built on first use, so a run without stage 2 never holds them.
+    """
+    bits = _EXACT_LIMIT - 2
+    count = np.zeros(1 << bits, np.uint8)
+    for b in range(bits):
+        count[1 << b : 2 << b] = count[: 1 << b] + 1
+    masks = np.arange(1 << bits, dtype=np.int16)
+    masks.flags.writeable = count.flags.writeable = False
+    return masks, count
+
+
 def _exact_bipartition(nodes, lptr, lind, m_local):
     """Global minimum over all 2^(n-1) - 1 bipartitions.
 
     Membership of side 0 is encoded in the bits of a mask; the last node
     is pinned to side 1 so each split is enumerated once. Ties go to the
     smallest mask, which is deterministic.
+
+    The edges inside every mask S and its degree sum are filled in by
+    doubling: adding node j to a mask S of nodes below j adds
+    |N(j) ∩ S|, a popcount, to the first and deg(j) to the second. The
+    cut is then the degree sum less twice the edges inside, the same
+    integer a count over the edges gives.
     """
     nloc = len(nodes)
-    masks = np.arange(1, 1 << (nloc - 1), dtype=np.int64)
-    cut = np.zeros(len(masks), dtype=np.int64)
-    i0 = np.zeros(len(masks), dtype=np.int64)
-    for la in range(nloc):
-        xa = (masks >> la) & 1
-        for e in range(lptr[la], lptr[la + 1]):
-            lb = lind[e]
-            if lb <= la:
-                continue
-            xb = (masks >> lb) & 1
-            cut += xa ^ xb
-            i0 += xa & xb
+    masks, popcount = _popcounts()
+    deg = np.diff(lptr)
+    # the neighbours of each node as a mask
+    adj = np.zeros(nloc, np.int64)
+    np.add.at(adj, np.repeat(np.arange(nloc), deg), np.left_shift(1, lind))
+    half = 1 << (nloc - 1)
+    i0 = np.zeros(half, np.int64)
+    dsum = np.zeros(half, np.int64)
+    for j in range(nloc - 1):
+        s = 1 << j
+        np.add(i0[:s], popcount[masks[:s] & adj[j]], out=i0[s : 2 * s])
+        np.add(dsum[:s], deg[j], out=dsum[s : 2 * s])
+    # mask 0 leaves side 0 empty
+    i0 = i0[1:]
+    cut = dsum[1:] - 2 * i0
     i1 = m_local - i0 - cut
     l0 = i0 + cut
     l1 = i1 + cut
     with np.errstate(divide="ignore", invalid="ignore"):
         obj = np.where((l0 > 0) & (l1 > 0), cut / l0 + cut / l1, np.inf)
-    best = int(masks[np.argmin(obj)])
+    best = int(np.argmin(obj)) + 1
     bits = (best >> np.arange(nloc, dtype=np.int64)) & 1
     return nodes[bits == 1], nodes[bits == 0]
 
@@ -166,19 +193,35 @@ def _spectral_orders(lptr, lind, starts):
     x -= np.repeat(_block_dots(wv, xv, moving, count), sizes)
     tmp = np.empty(len(block))
     safe = np.maximum(deg, 1.0)
-    linked = deg > 0
+    isolated = np.flatnonzero(deg == 0)
     rows = np.repeat(np.arange(len(block)), np.diff(lptr))
+    dot = np.ndarray.dot
     for _ in range(_SPECTRAL_ITERS):
         if not moving:
             break
         _kernels.matvec(lptr, lind, x, tmp, rows)
-        y[:] = np.where(linked, 0.5 * x + 0.5 * tmp / safe, x)
-        y -= np.repeat(_block_dots(wv, yv, moving, count), sizes)
-        nrm = np.sqrt(_block_dots(yv, yv, moving, count))
+        # y = 0.5 * x + 0.5 * tmp / safe, and x where a node has no arc
+        np.multiply(x, 0.5, out=y)
+        tmp *= 0.5
+        tmp /= safe
+        y += tmp
+        if len(isolated):
+            y[isolated] = x[isolated]
+        if len(moving) == count:
+            # `_block_dots` over every block, with nothing to scatter
+            y -= np.array(list(map(dot, wv, yv))).repeat(sizes)
+            nrm = np.sqrt(np.array(list(map(dot, yv, yv))))
+        else:
+            y -= np.repeat(_block_dots(wv, yv, moving, count), sizes)
+            nrm = np.sqrt(_block_dots(yv, yv, moving, count))
         # blocks already stopped read 0 here and stay stopped
-        step = ~(nrm < 1e-300)
-        moving = np.flatnonzero(step).tolist()
-        x = np.where(step[block], y / np.where(step, nrm, 1.0)[block], x)
+        stop = nrm < 1e-300
+        if not stop.any():
+            np.divide(y, nrm.repeat(sizes), out=x)
+        else:
+            step = ~stop
+            moving = np.flatnonzero(step).tolist()
+            x = np.where(step[block], y / np.where(step, nrm, 1.0)[block], x)
     return np.lexsort((x, block))
 
 
@@ -242,13 +285,32 @@ def bipartition_many(net: Network, clusters, cfg: BisectConfig) -> list:
     clusters = [net.subset(c) for c in clusters]
     if any(len(c) < 2 for c in clusters):
         raise ValueError("cannot bipartition fewer than 2 nodes")
+    block, halves = _bisect([Subgraph(net.indptr, net.indices)], clusters, cfg)
+    return [(block.ids[p0], block.ids[p1]) for p0, p1 in halves]
+
+
+def _bisect(graphs: list, clusters, cfg: BisectConfig):
+    """`bipartition_many` on clusters given as local ids of a graph.
+
+    `graphs` holds that one graph, and `_bisect` takes it out: once the
+    subgraph of the clusters is gathered, nothing holds the graph, so
+    it is freed before the power iterations start. At paper scale each
+    of the two takes hundreds of MiB.
+
+    Each cluster's local ids must rise with its network ids. Returns the
+    subgraph the clusters induce, with the arcs between clusters
+    dropped, and each cluster's two parts as local ids of that subgraph.
+    """
+    graph = graphs.pop()
     sizes = np.fromiter(map(len, clusters), np.int64, len(clusters))
     # large clusters first, so their local CSR is a prefix of the whole
     perm = np.argsort(sizes <= _EXACT_LIMIT, kind="stable")
-    nodes, block = disjoint_concat([clusters[i] for i in perm])
+    sub, block = disjoint_concat([clusters[i] for i in perm])
     lptr, lind = _kernels.extract_local_csr(
-        net.indptr, net.indices, nodes, net.n, block
+        graph.indptr, graph.indices, sub, len(graph.indptr) - 1, block
     )
+    ids = graph.nodes(sub)
+    del graph
     starts = np.concatenate([[0], np.cumsum(sizes[perm])])
     m_local = (lptr[starts[1:]] - lptr[starts[:-1]]) // 2
     nbig = int((sizes > _EXACT_LIMIT).sum())
@@ -267,9 +329,10 @@ def bipartition_many(net: Network, clusters, cfg: BisectConfig) -> list:
         lp = lptr[s : e + 1] - lptr[s]
         li = lind[lptr[s] : lptr[e]] - s
         spectral = (order[s:e] - s, vals[s : e - 1]) if g < nbig else (None, None)
-        return _split_block(clusters[i], lp, li, int(m_local[g]), *spectral, cfg)
+        return _split_block(np.arange(s, e), lp, li, int(m_local[g]), *spectral, cfg)
 
-    return ordered_map(finish, range(len(clusters)))
+    halves = ordered_map(finish, range(len(clusters)))
+    return Subgraph(lptr, lind, ids), halves
 
 
 def bipartition(net: Network, nodes, cfg: BisectConfig):
@@ -352,8 +415,10 @@ def iterative_split(
 
     Every active cluster is bipartitioned each round; each part is
     core-extracted at k and its positively-modular components advance.
-    One `bipartition_many` bisects all clusters of a round, and one
-    grouped `_core_split` extracts all their parts.
+    One batch bisects all clusters of a round, and one grouped
+    `_core_split` extracts all their parts. Only the first round's batch
+    gathers its local graph from the network; each later round works on
+    the subgraph of the nodes the round before kept, in its local ids.
     A cluster none of whose parts yields an advancing component is
     finalized as it stands. After cfg.max_rounds rounds whatever is
     still active is finalized too (advancing clusters are always k-valid
@@ -365,20 +430,31 @@ def iterative_split(
     final: list[np.ndarray] = []
     dead: list[np.ndarray] = []
     active = [c.nodes for c in clustering.clusters if c.size > 0]
+    # `base` holds the graph whose local ids `local` gives the active
+    # clusters in: the network at first, then the subgraph the last round
+    # kept. Only `base` holds it between rounds, so that `_bisect` can
+    # free it once it has gathered the round's own subgraph.
+    base, local = [Subgraph(net.indptr, net.indices)], active
     for _ in range(cfg.max_rounds):
         if not active:
             break
-        splittable = [nodes for nodes in active if len(nodes) >= 2]
-        for nodes in active:
-            if len(nodes) < 2:
-                final.append(nodes)
-        splits = bipartition_many(net, splittable, cfg)
+        two = [len(nodes) >= 2 for nodes in active]
+        final.extend(nodes for nodes, t in zip(active, two) if not t)
+        splittable = [nodes for nodes, t in zip(active, two) if t]
+        block, halves = _bisect(base, [c for c, t in zip(local, two) if t], cfg)
         # parts 2i and 2i + 1 are the halves of cluster i
-        split = _core_split(net, [half for pair in splits for half in pair], cfg.k)
+        parts = [half for pair in halves for half in pair]
+        split, kept = _core_split(net, parts, cfg.k, block)
         cluster = split.part // 2
         advancing = np.bincount(cluster[split.owner >= 0], minlength=len(splittable))
         final.extend(nodes for nodes, a in zip(splittable, advancing) if not a)
         dead.append(split.nodes[(split.owner < 0) & (advancing[cluster] > 0)])
         active = split.cores
+        base.append(kept)
+        local = split_by(
+            split.owner[~split.binned], np.arange(len(kept.ids)), len(active)
+        )
+        # only `base` may hold a graph into the next round
+        del block, kept
     final.extend(active)
     return Clustering([all_core(f) for f in final], net.n), union_ids(dead)

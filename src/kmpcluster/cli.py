@@ -242,6 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kmpcluster",
         description="Center-periphery clustering of citation networks",
     )
+    parser.add_argument(
+        "--log-level",
+        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+        default="INFO",
+        help="least severe message written to stderr (default INFO)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pipeline", help="run the full four-stage pipeline")
@@ -321,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
+        level=args.log_level, format="%(levelname)s %(name)s: %(message)s"
     )
     try:
         return args.func(args)

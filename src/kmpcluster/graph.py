@@ -497,6 +497,15 @@ def _integer_values(text: bytes):
 
 
 def _load_general(path: Path, data: bytes) -> Network:
+    """Read an edge list of string ids (say DOIs) from its bytes `data`.
+
+    Ids are numbered in sorted string order. This reader holds the whole
+    decoded file, one Python string per token and a dict from each
+    distinct id to its number, so its memory grows with the file by far
+    more than the integer path's: fine for the bounded workloads, not
+    for a paper-scale network of string ids, which would need a
+    streaming reader.
+    """
     pairs = []
     for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
         line = raw.strip()

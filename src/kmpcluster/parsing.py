@@ -86,8 +86,14 @@ def modular_components(net: Network, nodes, group=None):
     lptr, lind = _kernels.extract_local_csr(
         net.indptr, net.indices, nodes, net.n, group
     )
+    return _screened_components(net, lptr, lind, nodes)
+
+
+def _screened_components(net: Network, lptr, lind, nodes):
+    """`modular_components` of the local CSR (lptr, lind), whose local id
+    i is the network node nodes[i]."""
     comp = _kernels.local_components(lptr, lind)
-    ncomp = int(comp.max()) + 1
+    ncomp = int(comp.max(initial=-1)) + 1
     ls = np.zeros(ncomp, np.int64)
     np.add.at(ls, comp, np.diff(lptr))
     ds = np.zeros(ncomp, np.int64)
@@ -211,6 +217,19 @@ def validate(net: Network, clustering: Clustering, k: int, p: int) -> ValidityRe
 # -- parsing -----------------------------------------------------------
 
 
+class Subgraph(NamedTuple):
+    """A CSR whose local id i stands for the network node ids[i]. With
+    ids None it is the network itself, and local ids are network ids."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    ids: np.ndarray | None = None
+
+    def nodes(self, local) -> np.ndarray:
+        """The network ids of the local ids `local`."""
+        return local if self.ids is None else self.ids[local]
+
+
 class _CoreSplit(NamedTuple):
     nodes: np.ndarray  # the parts, concatenated
     part: np.ndarray  # part index of each node
@@ -220,7 +239,9 @@ class _CoreSplit(NamedTuple):
     dropped: np.ndarray  # sorted members of the components failing the screen
 
 
-def _core_split(net: Network, parts, k: int) -> _CoreSplit:
+def _core_split(
+    net: Network, parts, k: int, graph: Subgraph | None = None
+) -> tuple[_CoreSplit, Subgraph]:
     """Steps shared by kmp_parse, extract_cores and iterative_split.
 
     For each of the disjoint sorted node arrays `parts`: core-label its
@@ -232,13 +253,28 @@ def _core_split(net: Network, parts, k: int) -> _CoreSplit:
     share each peel wave, so the count of waves follows the slowest
     part rather than the sum over parts.
 
+    The parts hold local ids of `graph`, a subgraph holding every part
+    (by default the network), and the subgraphs the peel and the
+    component pass walk are gathered from it. The split comes back in
+    network ids, with the grouped subgraph of the members not binned,
+    whose local ids follow their order in `nodes`. Only
+    `iterative_split` uses that subgraph; the other callers drop it at
+    once, so that it is freed.
+
     Derived cores come in part order, and within a part in order of
     smallest member.
     """
-    nodes, part = disjoint_concat(parts)
-    labels = _kernels.peel(net.indptr, net.indices, nodes, net.n, part)
+    if graph is None:
+        graph = Subgraph(net.indptr, net.indices)
+    local, part = disjoint_concat(parts)
+    size = len(graph.indptr) - 1
+    labels = _kernels.peel(graph.indptr, graph.indices, local, size, part)
     keep = np.flatnonzero(labels >= k)
-    comp, positive = modular_components(net, nodes[keep], part[keep])
+    lptr, lind = _kernels.extract_local_csr(
+        graph.indptr, graph.indices, local[keep], size, part[keep]
+    )
+    nodes = graph.nodes(local)
+    comp, positive = _screened_components(net, lptr, lind, nodes[keep])
     core_id = np.cumsum(positive) - 1
     owner = np.full(len(nodes), -1, np.int64)
     owner[keep] = np.where(positive[comp], core_id[comp], -1)
@@ -249,7 +285,7 @@ def _core_split(net: Network, parts, k: int) -> _CoreSplit:
         binned=labels < k,
         cores=split_by(owner, nodes, int(positive.sum())),
         dropped=np.sort(nodes[keep[~positive[comp]]]),
-    )
+    ), Subgraph(lptr, lind, nodes[keep])
 
 
 def kmp_parse(
@@ -280,7 +316,7 @@ def kmp_parse(
         raise ConfigError(f"k must be at least 1, got {k}")
     if not 1 <= p < k:
         raise ConfigError(f"need 1 <= p < k, got p={p} with k={k}")
-    split = _core_split(net, [c.nodes for c in clustering.clusters], k)
+    split = _core_split(net, [c.nodes for c in clustering.clusters], k)[0]
     cores = split.cores
     # only the members of input clusters with a derived core can attach
     has_core = np.bincount(split.part[split.owner >= 0], minlength=len(clustering))
@@ -312,7 +348,7 @@ def extract_cores(
     """
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
-    split = _core_split(net, [c.nodes for c in clustering.clusters], k)
+    split = _core_split(net, [c.nodes for c in clustering.clusters], k)[0]
     return Clustering([all_core(c) for c in split.cores], net.n), split.dropped
 
 

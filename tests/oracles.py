@@ -4,7 +4,8 @@ Expected values in the test suite come from these, never from the
 library under test. Everything favors the most literal possible
 formulation: dicts, sets, and Fraction arithmetic so no comparison
 hinges on float rounding. The one exception is the one-cluster stage-2
-bisection at the end, a bit-for-bit reference for the batched one.
+bisection at the end, a bit-for-bit reference for the batched one, with
+the loops of the exact enumeration and the local search it calls.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from itertools import combinations
 import numpy as np
 
 from kmpcluster import _kernels
-from kmpcluster.bisection import _exact_bipartition
 from kmpcluster.clustering import Cluster, Clustering, all_core, split_by
 from kmpcluster.kcore import core_labels
 from kmpcluster.parsing import modular_components
@@ -254,13 +254,112 @@ def ikc(net, k: int) -> Clustering:
 #
 # The per-cluster spectral bisection as it stood before clusters were
 # bisected in batches, kept verbatim as the reference the batched path
-# must reproduce bit for bit. The exact enumeration, the local CSR, the
-# matrix-vector product and the local-search refinement it calls are the
-# library's own: batching does not change them.
+# must reproduce bit for bit. The local CSR and the matrix-vector product
+# it calls are the library's own: batching does not change them. The
+# exact enumeration and the local search are the loops over arcs and
+# nodes that the library's doubling enumeration and incremental search
+# replaced, kept verbatim.
 
 _EXACT_LIMIT = 15
 _SPECTRAL_SEED = 20240917
 _SPECTRAL_ITERS = 100
+
+
+def _exact_bipartition(nodes, lptr, lind, m_local):
+    """Global minimum over all 2^(n-1) - 1 bipartitions.
+
+    Membership of side 0 is encoded in the bits of a mask; the last node
+    is pinned to side 1 so each split is enumerated once. Ties go to the
+    smallest mask, which is deterministic.
+    """
+    nloc = len(nodes)
+    masks = np.arange(1, 1 << (nloc - 1), dtype=np.int64)
+    cut = np.zeros(len(masks), dtype=np.int64)
+    i0 = np.zeros(len(masks), dtype=np.int64)
+    for la in range(nloc):
+        xa = (masks >> la) & 1
+        for e in range(lptr[la], lptr[la + 1]):
+            lb = lind[e]
+            if lb <= la:
+                continue
+            xb = (masks >> lb) & 1
+            cut += xa ^ xb
+            i0 += xa & xb
+    i1 = m_local - i0 - cut
+    l0 = i0 + cut
+    l1 = i1 + cut
+    with np.errstate(divide="ignore", invalid="ignore"):
+        obj = np.where((l0 > 0) & (l1 > 0), cut / l0 + cut / l1, np.inf)
+    best = int(masks[np.argmin(obj)])
+    bits = (best >> np.arange(nloc, dtype=np.int64)) & 1
+    return nodes[bits == 1], nodes[bits == 0]
+
+
+def refine_split(lptr, lind, side, cut, i0, i1, n0, n1, max_sweeps, max_moves):
+    """Greedy single-node descent on the normalized-cut objective.
+
+    `side` holds 0/1 per local node and is updated in place. A move is
+    applied only if it strictly lowers the objective and leaves both
+    sides nonempty. Runs at most `max_sweeps` passes over the nodes and
+    at most `max_moves` accepted moves in total.
+    """
+    nloc = len(side)
+    moves = 0
+    for _ in range(max_sweeps):
+        moved = False
+        for v in range(nloc):
+            sv = side[v]
+            if sv == 0:
+                if n0 <= 1:
+                    continue
+            else:
+                if n1 <= 1:
+                    continue
+            a = 0
+            b = 0
+            for e in range(lptr[v], lptr[v + 1]):
+                if side[lind[e]] == 0:
+                    a += 1
+                else:
+                    b += 1
+            if sv == 0:
+                ncut = cut - b + a
+                ni0 = i0 - a
+                ni1 = i1 + b
+            else:
+                ncut = cut - a + b
+                ni0 = i0 + a
+                ni1 = i1 - b
+            l0 = i0 + cut
+            l1 = i1 + cut
+            if l0 == 0 or l1 == 0:
+                old = np.inf
+            else:
+                old = cut / l0 + cut / l1
+            nl0 = ni0 + ncut
+            nl1 = ni1 + ncut
+            if nl0 == 0 or nl1 == 0:
+                new = np.inf
+            else:
+                new = ncut / nl0 + ncut / nl1
+            if new < old:
+                side[v] = 1 - sv
+                cut = ncut
+                i0 = ni0
+                i1 = ni1
+                if sv == 0:
+                    n0 -= 1
+                    n1 += 1
+                else:
+                    n0 += 1
+                    n1 -= 1
+                moved = True
+                moves += 1
+                if moves >= max_moves:
+                    return cut, i0, i1
+        if not moved:
+            break
+    return cut, i0, i1
 
 
 def sweep_objective(lptr, lind, order, m_local):
@@ -354,7 +453,7 @@ def bipartition(net, nodes, cfg):
             cut = int((sr != sc).sum()) // 2
             i0 = int(((sr == 0) & (sc == 0)).sum()) // 2
             i1 = m_local - i0 - cut
-            _kernels.refine_split(
+            refine_split(
                 lptr,
                 lind,
                 side,

@@ -227,6 +227,38 @@ def test_bipartition_local_search_keeps_clean_bridge_cut():
     assert p1.tolist() == list(range(8, 16))
 
 
+# ------------------------------------------------------------ exact enumeration
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=15),
+    kind=st.sampled_from(["edgeless", "pieces", "complete", "isolated", "random"]),
+)
+def test_exact_enumeration_matches_the_arc_loop(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    a, b = np.triu_indices(n, k=1)
+    keep = rng.random(len(a)) < rng.uniform(0.1, 0.9)
+    if kind == "edgeless":
+        keep[:] = False
+    elif kind == "complete":
+        keep[:] = True
+    elif kind == "pieces":
+        cut = int(rng.integers(1, n))
+        keep &= (a < cut) == (b < cut)
+    elif kind == "isolated":
+        keep &= b < int(rng.integers(1, n))
+    # shuffled local ids, so isolated members and pieces interleave
+    perm = rng.permutation(n)
+    net = Network.from_edges(perm[a[keep]], perm[b[keep]], n=n)
+    nodes = np.sort(rng.choice(10 * n, size=n, replace=False))
+    m_local = len(net.indices) // 2
+    got = bisection._exact_bipartition(nodes, net.indptr, net.indices, m_local)
+    want = oracles._exact_bipartition(nodes, net.indptr, net.indices, m_local)
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
 # ------------------------------------------------------------- bipartition_many
 
 
@@ -606,3 +638,26 @@ def test_drivers_return_all_core_clusters():
         result, _ = driver(net, single_cluster(net, range(24)), CFG5)
         for c in result.clusters:
             assert c.noncore.size == 0
+
+
+def test_iterative_gathers_from_the_network_once(monkeypatch):
+    # round r + 1's clusters are subsets of round r's parts, so every
+    # local graph after the first round's is taken from the one before
+    real = _kernels.extract_local_csr
+    whole = []
+
+    def counting(indptr, *args):
+        whole.append(indptr is net.indptr)
+        return real(indptr, *args)
+
+    monkeypatch.setattr(_kernels, "extract_local_csr", counting)
+    for seed in range(3):
+        net, cores, _ = synth.planted_instance(seed)
+        members = np.sort(np.concatenate(cores))
+        whole.clear()
+        iterative_split(
+            net, single_cluster(net, members), BisectConfig(k=5, max_rounds=6)
+        )
+        assert sum(whole) == 1
+        # more than one round ran: each gathers three local graphs
+        assert len(whole) > 3

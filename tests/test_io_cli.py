@@ -529,3 +529,30 @@ def test_cli_module_invocation(tmp_path):
     )
     assert proc.returncode == 0
     assert (out / "clustering.tsv").exists()
+
+
+def test_cli_log_level_silences_stage_lines_only(tmp_path):
+    import subprocess
+    import sys
+
+    edges = write_net(tmp_path, planted_edges())
+    runs = {}
+    for level in (None, "WARNING"):
+        out = tmp_path / str(level)
+        flag = [] if level is None else ["--log-level", level]
+        proc = subprocess.run(
+            [sys.executable, "-m", "kmpcluster.cli", *flag, "pipeline", str(edges),
+             "--k", "5", "--stage2", "iterative", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        runs[level] = proc.stderr, out
+    assert "INFO kmpcluster.pipeline: stage 1" in runs[None][0]
+    assert runs["WARNING"][0] == ""
+    names = sorted(p.name for p in runs[None][1].iterdir())
+    assert names == sorted(p.name for p in runs["WARNING"][1].iterdir())
+    for name in names:
+        assert (runs[None][1] / name).read_bytes() == (
+            runs["WARNING"][1] / name
+        ).read_bytes()

@@ -275,3 +275,26 @@ def test_refine_split_keeps_its_contract(data, n, ample):
                 flip = side.copy()
                 flip[v] = 1 - flip[v]
                 assert not _ncut(*_split_counts(lptr, lind, flip)) < _ncut(*got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 30))
+def test_refine_split_matches_the_rescanning_loop(data, n):
+    node = st.integers(0, n - 1)
+    ends = np.array(data.draw(st.lists(st.tuples(node, node), max_size=4 * n)), np.int64)
+    ends = ends.reshape(-1, 2)
+    net = Network.from_edges(ends[:, 0], ends[:, 1], n=n)
+    lptr, lind = net.indptr, net.indices
+    n0 = data.draw(st.integers(1, n - 1))
+    start = np.ones(n, np.int8)
+    start[data.draw(st.permutations(range(n)))[:n0]] = 0
+    # small caps stop the descent in the middle of a sweep
+    max_sweeps = data.draw(st.integers(0, 6))
+    max_moves = data.draw(st.integers(0, 12))
+    args = (*_split_counts(lptr, lind, start), n0, n - n0, max_sweeps, max_moves)
+    side, want_side = start.copy(), start.copy()
+    got = _kernels.refine_split(lptr, lind, side, *args)
+    want = oracles.refine_split(lptr, lind, want_side, *args)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+    assert side.tobytes() == want_side.tobytes()

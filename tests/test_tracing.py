@@ -1,0 +1,50 @@
+"""The benchmark's tracer still finds and wraps what it names.
+
+`bench/tracing.py` wraps kernels and stages by name and reads their
+arguments by position, so renaming a kernel, inlining it or moving a
+stage's work elsewhere would leave its metrics reading 0.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import synth
+from kmpcluster import BisectConfig, Clustering, _kernels, all_core, bisection
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import tracing  # noqa: E402
+
+
+def test_every_traced_name_resolves():
+    for name in tracing.KERNELS:
+        assert callable(getattr(_kernels, name)), name
+    for module, name, _ in tracing.STAGES:
+        assert callable(getattr(importlib.import_module("kmpcluster." + module), name))
+
+
+def test_a_traced_iterative_split_reports_stage_two_work():
+    # the 40 nodes take the spectral path and the local search
+    edges = synth.clique_edges(range(20)) + synth.clique_edges(range(20, 40))
+    edges += [(0, 20), (1, 21)]
+    net = synth.net_from(edges)
+    clustering = Clustering([all_core(np.arange(40))], net.n)
+    cfg = BisectConfig(k=5, local_search_iters=20, max_rounds=4)
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        bisection.iterative_split(net, clustering, cfg)
+    finally:
+        restore()
+    metrics = tracing.layer_metrics(tracer)
+    for name in (
+        "bisection.split_s",
+        "kernels.matvec_arcs",
+        "kernels.sweep_refine_s",
+        "kernels.local_csr_s",
+        "kernels.peel_s",
+        "parallel.task_s",
+    ):
+        assert metrics[name] > 0, name
