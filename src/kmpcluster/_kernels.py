@@ -14,13 +14,17 @@ its step on a local CSR), `sweep_objective` and
 `best_cluster_per_node`. The one exception is `refine_split`, whose
 steps depend on the steps before it: it runs as ordinary Python over
 lists, one step per node a pass, and keeps each node's count of
-neighbours on side 0 up to date instead of rescanning its arcs.
+neighbours on side 0 up to date instead of rescanning its arcs. It
+counts its starting cut and internal edges from those counts, and one
+cap bounds both its passes and its moves.
 
+A kernel takes nothing it can derive from its other arguments: the
+node count is `len(indptr) - 1`, and core sizes come from `owner`.
 `extract_local_csr`, `peel` and `component_labels` take an optional
-trailing `group` array, one id per node of `sub`. Arcs between groups
-are then ignored, so one call answers for many disjoint subgraphs at
-once, each exactly as if it were called alone. `matvec` and
-`sweep_objective` work on such a block-diagonal local CSR as it is.
+`group` array after `sub`, one id per node of `sub`. Arcs between
+groups are then ignored, so one call answers for many disjoint
+subgraphs at once, each exactly as if it were called alone. `matvec`
+and `sweep_objective` work on such a block-diagonal local CSR as it is.
 
 `extract_local_csr` gathers its rows, and `compact` (which drops the
 repeated arc keys of `Network.from_edges`) moves its entries, at most
@@ -76,7 +80,7 @@ def induced_edges(indptr, indices, in_sub, sub):
     return int(_count_in(indptr, indices, in_sub, sub).sum()) // 2
 
 
-def peel(indptr, indices, sub, n, group=None):
+def peel(indptr, indices, sub, group=None):
     """Core number of every node of `sub` within the induced subgraph.
 
     With `group` (one id per node of `sub`), an arc counts only when its
@@ -96,7 +100,7 @@ def peel(indptr, indices, sub, n, group=None):
     a 100k-node path this takes about 2.2 s on a 2-core machine, where
     a bucket-queue loop run as interpreted Python takes 0.7 to 1.0 s.
     """
-    lptr, lind = extract_local_csr(indptr, indices, sub, n, group)
+    lptr, lind = extract_local_csr(indptr, indices, sub, group)
     deg = np.diff(lptr)
     labels = np.zeros(len(sub), np.int64)
     alive = np.ones(len(sub), np.bool_)
@@ -170,7 +174,7 @@ def settle(indptr, indices, lab, sup, violators, mark):
         v = np.concatenate((v[sup[v] < new], u[once]))
 
 
-def component_labels(indptr, indices, sub, n, group=None):
+def component_labels(indptr, indices, sub, group=None):
     """Connected component id for each node of `sub` (induced subgraph).
 
     Ids are dense from 0 and ordered by each component's first position
@@ -178,7 +182,7 @@ def component_labels(indptr, indices, sub, n, group=None):
     `group`, arcs between groups are ignored, so no component spans two
     groups.
     """
-    return local_components(*extract_local_csr(indptr, indices, sub, n, group))
+    return local_components(*extract_local_csr(indptr, indices, sub, group))
 
 
 def local_components(lptr, lind):
@@ -213,7 +217,7 @@ def local_components(lptr, lind):
     return (np.cumsum(root) - 1)[parent]
 
 
-def extract_local_csr(indptr, indices, sub, n, group=None):
+def extract_local_csr(indptr, indices, sub, group=None):
     """CSR of the subgraph induced by `sub`, with local 0..len(sub)-1 ids.
 
     `group`, when given, holds one id per node of `sub`; an arc is then
@@ -227,7 +231,7 @@ def extract_local_csr(indptr, indices, sub, n, group=None):
     per row, the scratch is a few batch-sized arrays; each batch's kept
     arcs are joined once at the end.
     """
-    loc = np.full(n, -1, np.int64)
+    loc = np.full(len(indptr) - 1, -1, np.int64)
     loc[sub] = np.arange(len(sub))
     # arcs up to the end of each row, to cut the rows into batches
     end = np.cumsum(indptr[sub + 1] - indptr[sub])
@@ -265,17 +269,14 @@ def compact(a, keep):
     a.resize(w, refcheck=False)
 
 
-def matvec(lptr, lind, x, out, rows=None):
+def matvec(lptr, lind, x, out, rows):
     """out[i] = sum of x over neighbors of i in a local CSR.
 
     `rows` is the row of each arc, `np.repeat(np.arange(len(out)),
     np.diff(lptr))`; a caller that multiplies by one matrix many times
-    builds it once and passes it in. np.bincount adds the weights in arc
-    order starting from 0.0, so the sums match a per-row loop to the
-    last bit.
+    builds it once. np.bincount adds the weights in arc order starting
+    from 0.0, so the sums match a per-row loop to the last bit.
     """
-    if rows is None:
-        rows = np.repeat(np.arange(len(out)), np.diff(lptr))
     out[:] = np.bincount(rows, weights=x[lind], minlength=len(out))
 
 
@@ -331,13 +332,14 @@ def sweep_objective(lptr, lind, order, starts):
         return np.where((l0 > 0) & (l1 > 0), cut / l0 + cut / l1, np.inf)
 
 
-def refine_split(lptr, lind, side, cut, i0, i1, n0, n1, max_sweeps, max_moves):
+def refine_split(lptr, lind, side, iters):
     """Greedy single-node descent on the normalized-cut objective.
 
     `side` holds 0/1 per local node and is updated in place. A move is
     applied only if it strictly lowers the objective and leaves both
-    sides nonempty. Runs at most `max_sweeps` passes over the nodes, in
-    local id order, and at most `max_moves` accepted moves in total.
+    sides nonempty. Runs at most `iters` passes over the nodes, in local
+    id order, and at most `iters` accepted moves in total. Returns the
+    final (cut, internal_0, internal_1) edge counts.
 
     Each node's count of neighbours on side 0 is kept up to date: a move
     changes only the counts of the mover's neighbours. So a pass costs
@@ -348,14 +350,22 @@ def refine_split(lptr, lind, side, cut, i0, i1, n0, n1, max_sweeps, max_moves):
     nloc = len(side)
     deg = np.diff(lptr)
     rows = np.repeat(np.arange(nloc), deg)
-    zeros = np.bincount(rows[side[lind] == 0], minlength=nloc).tolist()
+    on0 = side == 0
+    zeros = np.bincount(rows[on0[lind]], minlength=nloc)
+    # a side-1 node's neighbours on side 0 are its cut arcs
+    i0 = int(zeros[on0].sum()) // 2
+    cut = int(zeros[~on0].sum())
+    i1 = len(lind) // 2 - i0 - cut
+    n0 = int(on0.sum())
+    n1 = nloc - n0
+    zeros = zeros.tolist()
     deg = deg.tolist()
     ptr = lptr.tolist()
     nbr = lind.tolist()
     sides = side.tolist()
     old = _ncut(cut, i0, i1)
     moves = 0
-    for _ in range(max_sweeps):
+    for _ in range(iters):
         moved = False
         for v in range(nloc):
             sv = sides[v]
@@ -386,9 +396,9 @@ def refine_split(lptr, lind, side, cut, i0, i1, n0, n1, max_sweeps, max_moves):
                     n1 -= 1
                 moved = True
                 moves += 1
-                if moves >= max_moves:
+                if moves >= iters:
                     break
-        if not moved or moves >= max_moves:
+        if not moved or moves >= iters:
             break
     side[:] = sides
     return cut, i0, i1
@@ -404,14 +414,15 @@ def _ncut(cut, i0, i1):
     return cut / l0 + cut / l1
 
 
-def best_cluster_per_node(indptr, indices, owner, core_size, min_id, cand, p):
+def best_cluster_per_node(indptr, indices, owner, min_id, cand, p):
     """Pick the attachment target for each candidate node.
 
     `owner[u]` is the cluster index of u if u is a core node, else -1.
     A candidate qualifies for cluster c when it has >= p neighbors in
     c's core; among qualifying clusters the one with the largest
-    count/core_size ratio wins, ties broken by smaller `min_id`. Returns
-    the chosen cluster index per candidate (-1 when none qualifies).
+    count/core size ratio wins, ties broken by smaller `min_id`, which
+    holds one id per cluster. Returns the chosen cluster index per
+    candidate (-1 when none qualifies).
 
     The (candidate, cluster) pairs are counted over the candidates' arcs
     at once, and each candidate's pairs ranked by one lexsort. Ratios
@@ -420,7 +431,8 @@ def best_cluster_per_node(indptr, indices, owner, core_size, min_id, cand, p):
     denominators below 2**26 differ by more than 2**-52, more than
     their rounding errors together.
     """
-    ncl = len(core_size)
+    ncl = len(min_id)
+    core_size = np.bincount(owner[owner >= 0], minlength=ncl)
     assert not ncl or core_size.max() < 2**26
     arcs, rows = _gather(indptr, cand)
     c = owner[indices[arcs]]

@@ -35,14 +35,12 @@ def augment(net: Network, clustering: Clustering, p: int) -> Clustering:
     if not targets or not len(candidates):
         return Clustering(list(targets), clustering.n_nodes)
     owner = np.full(net.n, -1, dtype=np.int64)
-    core_size = np.empty(len(targets), dtype=np.int64)
     min_id = np.empty(len(targets), dtype=np.int64)
     for i, c in enumerate(targets):
         owner[c.core] = i
-        core_size[i] = len(c.core)
         min_id[i] = c.min_id
     choice = _kernels.best_cluster_per_node(
-        net.indptr, net.indices, owner, core_size, min_id, candidates, p
+        net.indptr, net.indices, owner, min_id, candidates, p
     )
     out = []
     for c, joined in zip(targets, split_by(choice, candidates, len(targets))):

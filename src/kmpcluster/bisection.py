@@ -106,8 +106,9 @@ def _popcounts():
     return masks, count
 
 
-def _exact_bipartition(nodes, lptr, lind, m_local):
-    """Global minimum over all 2^(n-1) - 1 bipartitions.
+def _exact_bipartition(lptr, lind):
+    """Global minimum over all 2^(n-1) - 1 bipartitions of a local CSR,
+    as two arrays of local ids.
 
     Membership of side 0 is encoded in the bits of a mask; the last node
     is pinned to side 1 so each split is enumerated once. Ties go to the
@@ -119,7 +120,7 @@ def _exact_bipartition(nodes, lptr, lind, m_local):
     cut is then the degree sum less twice the edges inside, the same
     integer a count over the edges gives.
     """
-    nloc = len(nodes)
+    nloc = len(lptr) - 1
     masks, popcount = _popcounts()
     deg = np.diff(lptr)
     # the neighbours of each node as a mask
@@ -135,17 +136,17 @@ def _exact_bipartition(nodes, lptr, lind, m_local):
     # mask 0 leaves side 0 empty
     i0 = i0[1:]
     cut = dsum[1:] - 2 * i0
-    i1 = m_local - i0 - cut
+    i1 = len(lind) // 2 - i0 - cut
     l0 = i0 + cut
     l1 = i1 + cut
     with np.errstate(divide="ignore", invalid="ignore"):
         obj = np.where((l0 > 0) & (l1 > 0), cut / l0 + cut / l1, np.inf)
     best = int(np.argmin(obj)) + 1
     bits = (best >> np.arange(nloc, dtype=np.int64)) & 1
-    return nodes[bits == 1], nodes[bits == 0]
+    return np.flatnonzero(bits == 1), np.flatnonzero(bits == 0)
 
 
-def _block_dots(a, b, blocks, count):
+def _block_dots(a, b, blocks):
     """`a[g] @ b[g]` for each g in `blocks`, 0.0 for the other blocks.
 
     `a` and `b` hold one view per block into a long vector, and each
@@ -154,7 +155,7 @@ def _block_dots(a, b, blocks, count):
     than `@`). Segmented sums (`reduceat`, `bincount`, `einsum`) add in
     another order and round differently.
     """
-    out = np.zeros(count)
+    out = np.zeros(len(a))
     out[blocks] = [a[g].dot(b[g]) for g in blocks]
     return out
 
@@ -190,7 +191,7 @@ def _spectral_orders(lptr, lind, starts):
     bounds = np.column_stack([starts[:-1], starts[1:]]).tolist()
     wv, xv, yv = ([v[s:e] for s, e in bounds] for v in (w, x, y))
     moving = np.flatnonzero(arcs > 0).tolist()
-    x -= np.repeat(_block_dots(wv, xv, moving, count), sizes)
+    x -= np.repeat(_block_dots(wv, xv, moving), sizes)
     tmp = np.empty(len(block))
     safe = np.maximum(deg, 1.0)
     isolated = np.flatnonzero(deg == 0)
@@ -212,8 +213,8 @@ def _spectral_orders(lptr, lind, starts):
             y -= np.array(list(map(dot, wv, yv))).repeat(sizes)
             nrm = np.sqrt(np.array(list(map(dot, yv, yv))))
         else:
-            y -= np.repeat(_block_dots(wv, yv, moving, count), sizes)
-            nrm = np.sqrt(_block_dots(yv, yv, moving, count))
+            y -= np.repeat(_block_dots(wv, yv, moving), sizes)
+            nrm = np.sqrt(_block_dots(yv, yv, moving))
         # blocks already stopped read 0 here and stay stopped
         stop = nrm < 1e-300
         if not stop.any():
@@ -225,42 +226,27 @@ def _spectral_orders(lptr, lind, starts):
     return np.lexsort((x, block))
 
 
-def _split_block(nodes, lptr, lind, m_local, order, vals, cfg):
-    """Bipartition one cluster given its local CSR.
+def _split_block(lptr, lind, order, vals, cfg):
+    """Bipartition one cluster given its local CSR, as two arrays of
+    local ids.
 
     `order` and `vals` are the cluster's spectral order and sweep values
     when it has more than _EXACT_LIMIT nodes; smaller clusters are
     enumerated.
     """
-    if m_local == 0:
-        return nodes[:1], nodes[1:]
-    if len(nodes) <= _EXACT_LIMIT:
-        p0, p1 = _exact_bipartition(nodes, lptr, lind, m_local)
+    nloc = len(lptr) - 1
+    if not len(lind):
+        return np.arange(1), np.arange(1, nloc)
+    if nloc <= _EXACT_LIMIT:
+        p0, p1 = _exact_bipartition(lptr, lind)
     else:
         t = int(np.argmin(vals)) + 1
-        side = np.ones(len(nodes), dtype=np.int8)
+        side = np.ones(nloc, dtype=np.int8)
         side[order[:t]] = 0
         if cfg.local_search_iters > 0:
-            rows = np.repeat(np.arange(len(nodes)), np.diff(lptr))
-            sr = side[rows]
-            sc = side[lind]
-            cut = int((sr != sc).sum()) // 2
-            i0 = int(((sr == 0) & (sc == 0)).sum()) // 2
-            i1 = m_local - i0 - cut
-            _kernels.refine_split(
-                lptr,
-                lind,
-                side,
-                cut,
-                i0,
-                i1,
-                int((side == 0).sum()),
-                int((side == 1).sum()),
-                cfg.local_search_iters,
-                cfg.local_search_iters,
-            )
-        p0 = nodes[side == 0]
-        p1 = nodes[side == 1]
+            _kernels.refine_split(lptr, lind, side, cfg.local_search_iters)
+        p0 = np.flatnonzero(side == 0)
+        p1 = np.flatnonzero(side == 1)
     if p1[0] < p0[0]:
         p0, p1 = p1, p0
     return p0, p1
@@ -306,13 +292,10 @@ def _bisect(graphs: list, clusters, cfg: BisectConfig):
     # large clusters first, so their local CSR is a prefix of the whole
     perm = np.argsort(sizes <= _EXACT_LIMIT, kind="stable")
     sub, block = disjoint_concat([clusters[i] for i in perm])
-    lptr, lind = _kernels.extract_local_csr(
-        graph.indptr, graph.indices, sub, len(graph.indptr) - 1, block
-    )
+    lptr, lind = _kernels.extract_local_csr(graph.indptr, graph.indices, sub, block)
     ids = graph.nodes(sub)
     del graph
     starts = np.concatenate([[0], np.cumsum(sizes[perm])])
-    m_local = (lptr[starts[1:]] - lptr[starts[:-1]]) // 2
     nbig = int((sizes > _EXACT_LIMIT).sum())
     order = vals = None
     if nbig:
@@ -329,7 +312,7 @@ def _bisect(graphs: list, clusters, cfg: BisectConfig):
         lp = lptr[s : e + 1] - lptr[s]
         li = lind[lptr[s] : lptr[e]] - s
         spectral = (order[s:e] - s, vals[s : e - 1]) if g < nbig else (None, None)
-        return _split_block(np.arange(s, e), lp, li, int(m_local[g]), *spectral, cfg)
+        return tuple(p + s for p in _split_block(lp, li, *spectral, cfg))
 
     halves = ordered_map(finish, range(len(clusters)))
     return Subgraph(lptr, lind, ids), halves
@@ -345,9 +328,7 @@ def _qualifying(net: Network, parts, k: int) -> np.ndarray:
     nonempty, k-valid as an all-core cluster, and with positive
     modularity. One grouped pass screens all the disjoint `parts`."""
     nodes, part = disjoint_concat(parts)
-    lptr, _ = _kernels.extract_local_csr(
-        net.indptr, net.indices, nodes, net.n, part
-    )
+    lptr, _ = _kernels.extract_local_csr(net.indptr, net.indices, nodes, part)
     size = np.bincount(part, minlength=len(parts))
     weak = np.bincount(part[np.diff(lptr) < k], minlength=len(parts))
     bounds = np.concatenate([[0], np.cumsum(size)])

@@ -331,7 +331,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (KmpError, FileNotFoundError, ValueError) as exc:
+    except (KmpError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ here accept any integer sequence and canonicalize it once.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +32,7 @@ class LoadReport:
     duplicate_edges_dropped: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "self_loops_dropped": self.self_loops_dropped,
-            "duplicate_edges_dropped": self.duplicate_edges_dropped,
-        }
+        return asdict(self)
 
 
 class Network:
@@ -168,12 +165,6 @@ class Network:
     def internal_id(self, ext: str):
         """Internal id for an external label, or None if unknown."""
         ext = str(ext)
-        if self._ext is None:
-            try:
-                v = int(ext)
-            except ValueError:
-                return None
-            return v if 0 <= v < self.n else None
         if self.integer_ids:
             # only a canonical decimal prints back as one of the ids
             canonical = ext.isascii() and ext.isdigit() and len(ext) <= _MAX_DIGITS
@@ -236,7 +227,7 @@ def connected_components(net: Network, within=None) -> list[np.ndarray]:
     s = net.all_nodes() if within is None else net.subset(within)
     if len(s) == 0:
         return []
-    comp = _kernels.component_labels(net.indptr, net.indices, s, net.n)
+    comp = _kernels.component_labels(net.indptr, net.indices, s)
     return split_by(comp, s, int(comp.max()) + 1)
 
 

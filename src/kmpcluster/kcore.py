@@ -49,7 +49,7 @@ def core_labels(net: Network, within=None) -> CoreLabeling:
     s = net.all_nodes() if within is None else net.subset(within)
     if len(s) == 0:
         return CoreLabeling(s, np.empty(0, dtype=np.int64))
-    labels = _kernels.peel(net.indptr, net.indices, s, net.n)
+    labels = _kernels.peel(net.indptr, net.indices, s)
     return CoreLabeling(s, labels)
 
 

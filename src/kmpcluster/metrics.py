@@ -6,7 +6,7 @@ run prints at the end or writes into stats.json.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,15 +33,7 @@ class SizeStats:
     singleton_nodes: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_clusters": self.n_clusters,
-            "min_size": self.min_size,
-            "max_size": self.max_size,
-            "median_low": self.median_low,
-            "median_mean": self.median_mean,
-            "mean_size": self.mean_size,
-            "singleton_nodes": self.singleton_nodes,
-        }
+        return asdict(self)
 
 
 def size_stats(clustering: Clustering) -> SizeStats:

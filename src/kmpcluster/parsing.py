@@ -18,7 +18,7 @@ found in two clusters makes these functions raise `ValueError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -72,20 +72,17 @@ def has_positive_modularity(net: Network, nodes) -> bool:
     return bool(_positive(int(net.m), ls, ds))
 
 
-def modular_components(net: Network, nodes, group=None):
+def modular_components(net: Network, nodes):
     """Connected components of the subgraph `nodes` induces, screened.
 
-    `nodes` holds distinct ids. With `group`, one id per node, arcs
-    between groups are ignored, so each component lies in one group.
-    Returns (comp, positive): each node's component id, the ids ordered
-    by first position in `nodes`, and for each component whether its
-    modularity in the whole network is positive.
+    `nodes` holds distinct ids. Returns (comp, positive): each node's
+    component id, the ids ordered by first position in `nodes`, and for
+    each component whether its modularity in the whole network is
+    positive.
     """
     if not len(nodes):
         return np.empty(0, np.int64), np.empty(0, np.bool_)
-    lptr, lind = _kernels.extract_local_csr(
-        net.indptr, net.indices, nodes, net.n, group
-    )
+    lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, nodes)
     return _screened_components(net, lptr, lind, nodes)
 
 
@@ -117,14 +114,7 @@ class ClusterValidity:
         return self.k_valid and self.m_valid and self.p_valid
 
     def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "core_size": self.core_size,
-            "k_valid": self.k_valid,
-            "m_valid": self.m_valid,
-            "p_valid": self.p_valid,
-            "kmp_valid": self.kmp_valid,
-        }
+        return {**asdict(self), "kmp_valid": self.kmp_valid}
 
 
 @dataclass
@@ -179,16 +169,14 @@ def validate(net: Network, clustering: Clustering, k: int, p: int) -> ValidityRe
     One grouped pass serves all clusters. The subgraph of all members,
     with each member's cluster as its group, gives every member its
     count of core neighbours in its own cluster: core members need k,
-    non-core members p. The cores, grouped the same way, give each
-    core's components and their modularity terms.
+    non-core members p. The cores' subgraph, taken from that one, gives
+    each core's components and their modularity terms.
     """
     clusters = clustering.clusters
     nodes, part = disjoint_concat([a for c in clusters for a in (c.core, c.noncore)])
     cluster = part // 2
     is_core = part % 2 == 0
-    lptr, lind = _kernels.extract_local_csr(
-        net.indptr, net.indices, nodes, net.n, cluster
-    )
+    lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, nodes, cluster)
     rows = np.repeat(np.arange(len(nodes)), np.diff(lptr))
     hits = np.bincount(rows[is_core[lind]], minlength=len(nodes))
 
@@ -200,7 +188,9 @@ def validate(net: Network, clustering: Clustering, k: int, p: int) -> ValidityRe
     p_valid = (per_cluster(~is_core & (hits < p)) == 0) & (
         (core_size > 0) | (per_cluster(~is_core) == 0)
     )
-    comp, positive = modular_components(net, nodes[is_core], cluster[is_core])
+    core = np.flatnonzero(is_core)
+    cptr, cind = _kernels.extract_local_csr(lptr, lind, core)
+    comp, positive = _screened_components(net, cptr, cind, nodes[core])
     comp_cluster = np.zeros(len(positive), np.int64)
     comp_cluster[comp] = cluster[is_core]
     # a core's flag is read only when the core is one component
@@ -267,11 +257,10 @@ def _core_split(
     if graph is None:
         graph = Subgraph(net.indptr, net.indices)
     local, part = disjoint_concat(parts)
-    size = len(graph.indptr) - 1
-    labels = _kernels.peel(graph.indptr, graph.indices, local, size, part)
+    labels = _kernels.peel(graph.indptr, graph.indices, local, part)
     keep = np.flatnonzero(labels >= k)
     lptr, lind = _kernels.extract_local_csr(
-        graph.indptr, graph.indices, local[keep], size, part[keep]
+        graph.indptr, graph.indices, local[keep], part[keep]
     )
     nodes = graph.nodes(local)
     comp, positive = _screened_components(net, lptr, lind, nodes[keep])
@@ -323,13 +312,12 @@ def kmp_parse(
     live = has_core[split.part] > 0
     nodes = split.nodes[live]
     lptr, lind = _kernels.extract_local_csr(
-        net.indptr, net.indices, nodes, net.n, split.part[live]
+        net.indptr, net.indices, nodes, split.part[live]
     )
-    core_size = np.fromiter(map(len, cores), np.int64, len(cores))
     min_id = np.fromiter((c[0] for c in cores), np.int64, len(cores))
     cand = np.flatnonzero(split.binned[live])
     choice = _kernels.best_cluster_per_node(
-        lptr, lind, split.owner[live], core_size, min_id, cand, p
+        lptr, lind, split.owner[live], min_id, cand, p
     )
     noncore = split_by(choice, nodes[cand], len(cores))
     out = [Cluster(core=c, noncore=x) for c, x in zip(cores, noncore)]

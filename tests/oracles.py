@@ -434,7 +434,7 @@ def bipartition(net, nodes, cfg):
     nodes = net.subset(nodes)
     if len(nodes) < 2:
         raise ValueError("cannot bipartition fewer than 2 nodes")
-    lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, nodes, net.n)
+    lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, nodes)
     m_local = len(lind) // 2
     if m_local == 0:
         return nodes[:1], nodes[1:]

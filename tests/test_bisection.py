@@ -254,9 +254,9 @@ def test_exact_enumeration_matches_the_arc_loop(seed, n, kind):
     net = Network.from_edges(perm[a[keep]], perm[b[keep]], n=n)
     nodes = np.sort(rng.choice(10 * n, size=n, replace=False))
     m_local = len(net.indices) // 2
-    got = bisection._exact_bipartition(nodes, net.indptr, net.indices, m_local)
+    got = bisection._exact_bipartition(net.indptr, net.indices)
     want = oracles._exact_bipartition(nodes, net.indptr, net.indices, m_local)
-    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+    assert [nodes[p].tobytes() for p in got] == [p.tobytes() for p in want]
 
 
 # ------------------------------------------------------------- bipartition_many
@@ -327,9 +327,7 @@ def test_bipartition_many_matches_one_cluster_oracle(case, iters):
 
 def _block_csr(net, parts):
     nodes, block = disjoint_concat(parts)
-    lptr, lind = _kernels.extract_local_csr(
-        net.indptr, net.indices, nodes, net.n, block
-    )
+    lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, nodes, block)
     starts = np.concatenate([[0], np.cumsum([len(p) for p in parts])])
     return lptr, lind, starts
 
@@ -348,7 +346,7 @@ def test_spectral_orders_and_sweeps_match_one_block_oracle(case):
     )
     shuffled_vals = _kernels.sweep_objective(lptr, lind, shuffled, starts)
     for nodes, s, e in zip(parts, starts[:-1], starts[1:]):
-        lp, li = _kernels.extract_local_csr(net.indptr, net.indices, nodes, net.n)
+        lp, li = _kernels.extract_local_csr(net.indptr, net.indices, nodes)
         m_local = len(li) // 2
         assert vals[e - 1] == np.inf
         for seq, got in ((order, vals), (shuffled, shuffled_vals)):
@@ -365,7 +363,7 @@ def test_a_vanishing_block_stops_alone(monkeypatch):
     # random graph's goes on; each block must end as it would alone
     real = _kernels.matvec
 
-    def vanishing(lptr, lind, x, out, rows=None):
+    def vanishing(lptr, lind, x, out, rows):
         real(lptr, lind, x, out, rows)
         out[:] = np.where(np.diff(lptr) == 4, -4.0 * x, out)
 
@@ -380,7 +378,7 @@ def test_a_vanishing_block_stops_alone(monkeypatch):
     lptr, lind, starts = _block_csr(net, parts)
     order = bisection._spectral_orders(lptr, lind, starts)
     for nodes, s, e in zip(parts, starts[:-1], starts[1:]):
-        lp, li = _kernels.extract_local_csr(net.indptr, net.indices, nodes, net.n)
+        lp, li = _kernels.extract_local_csr(net.indptr, net.indices, nodes)
         want = oracles.spectral_order(lp, li)
         assert (order[s:e] - s).tobytes() == want.tobytes()
     cfg = BisectConfig(k=2)

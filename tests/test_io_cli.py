@@ -121,6 +121,21 @@ def test_unknown_node_listed(tmp_path):
         load_clustering(net, f)
 
 
+def test_network_without_id_map_resolves_only_canonical_ids(tmp_path):
+    # numbered by its own internal ids, a network resolves exactly the
+    # labels it prints, as a loaded network with the same ids does
+    built = synth.net_from([(0, 7), (7, 8)])
+    loaded = load_edge_list(write_net(tmp_path, [(0, 7), (7, 8)]))
+    assert built.internal_id("7") == 7 and loaded.internal_id("7") == 1
+    for ext in ("07", "+7", " 7", "7 ", "\u0667", "-0"):
+        assert built.internal_id(ext) is None, ext
+        assert loaded.internal_id(ext) is None, ext
+    f = tmp_path / "c.tsv"
+    f.write_text("7\t0\n07\t0\n")
+    with pytest.raises(ClusteringFileError, match="not in the network: 07$"):
+        load_clustering(built, f)
+
+
 def test_conflicting_duplicate_rejected(tmp_path):
     net = synth.net_from([(0, 1)], n=3)
     f = tmp_path / "c.tsv"
@@ -340,6 +355,21 @@ def test_cli_missing_edges_file(tmp_path, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_reports_os_errors_in_one_line(tmp_path, capsys):
+    edges = write_net(tmp_path, planted_edges())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (
+        # an edge file that is a directory, and --out naming a file
+        ["validate", str(tmp_path), str(edges), "--k", "5", "--p", "2",
+         "--out", str(tmp_path / "val")],
+        ["ikc", str(edges), "--k", "5", "--out", str(taken)],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_rejects_p_not_below_k(tmp_path, capsys):

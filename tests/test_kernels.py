@@ -70,7 +70,7 @@ def local_adjacency(adj, sub) -> list[list[int]]:
 @given(case=network_and_subset())
 def test_peel_matches_deletion_oracle(case):
     net, sub, _ = case
-    labels = _kernels.peel(net.indptr, net.indices, sub, net.n)
+    labels = _kernels.peel(net.indptr, net.indices, sub)
     expect = oracles.core_labels_by_deletion(oracles.adjacency(net), sub.tolist())
     assert labels.dtype == np.int64
     assert labels.tolist() == [expect[v] for v in sub.tolist()]
@@ -80,7 +80,7 @@ def test_peel_matches_deletion_oracle(case):
 @given(case=network_and_subset())
 def test_component_labels_match_oracle_in_smallest_member_order(case):
     net, sub, _ = case
-    comp = _kernels.component_labels(net.indptr, net.indices, sub, net.n)
+    comp = _kernels.component_labels(net.indptr, net.indices, sub)
     assert comp.dtype == np.int64
     assert len(comp) == len(sub)
     ncomp = int(comp.max()) + 1 if len(comp) else 0
@@ -94,8 +94,8 @@ def test_grouped_peel_and_components_match_oracles_per_group(case):
     net, sub, rng = case
     group = rng.integers(0, 4, len(sub))
     adj = oracles.adjacency(net)
-    labels = _kernels.peel(net.indptr, net.indices, sub, net.n, group)
-    comp = _kernels.component_labels(net.indptr, net.indices, sub, net.n, group)
+    labels = _kernels.peel(net.indptr, net.indices, sub, group)
+    comp = _kernels.component_labels(net.indptr, net.indices, sub, group)
     expect_labels = {}
     expect_comps = []
     for g in range(4):
@@ -116,10 +116,8 @@ def test_local_csr_matches_adjacency_sets(case, batch):
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:  # rows of stars and cliques are longer than 3
             mp.setattr(_kernels, "_BATCH", batch)
-        lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, sub, net.n)
-        grouped = _kernels.extract_local_csr(
-            net.indptr, net.indices, sub, net.n, group
-        )
+        lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, sub)
+        grouped = _kernels.extract_local_csr(net.indptr, net.indices, sub, group)
     rows = local_adjacency(oracles.adjacency(net), sub)
     assert lptr.dtype == np.int64 and lind.dtype == np.int64
     assert lptr.tolist() == [0, *accumulate(len(r) for r in rows)]
@@ -145,9 +143,7 @@ def test_local_csr_peak_memory_is_bounded_by_its_output(monkeypatch):
     monkeypatch.setattr(_kernels, "_BATCH", 1 << 11)
     tracemalloc.start()
     try:
-        lptr, lind = _kernels.extract_local_csr(
-            net.indptr, net.indices, sub, n, group
-        )
+        lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, sub, group)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -197,7 +193,7 @@ def test_matvec_sums_in_arc_order_bit_for_bit(case):
     # magnitudes from 1e-8 to 1e8, so the order of the additions shows
     x = rng.standard_normal(len(sub)) * 10.0 ** rng.integers(-8, 9, len(sub))
     out = np.full(len(sub), np.nan)
-    _kernels.matvec(lptr, lind, x, out)
+    _kernels.matvec(lptr, lind, x, out, np.repeat(np.arange(len(sub)), np.diff(lptr)))
     expect = []
     for r in rows:
         s = 0.0
@@ -218,7 +214,7 @@ def test_best_cluster_per_node_matches_loop_oracle(case, n_cores, p):
     min_id = rng.permutation(4 * n_cores).astype(np.int64)[:n_cores]
     cand = np.flatnonzero(owner < 0)
     got = _kernels.best_cluster_per_node(
-        net.indptr, net.indices, owner, core_size, min_id, cand, p
+        net.indptr, net.indices, owner, min_id, cand, p
     )
     want = oracles.best_cluster_per_node(
         net.indptr, net.indices, owner, core_size, min_id, cand, p
@@ -256,19 +252,15 @@ def test_refine_split_keeps_its_contract(data, n, ample):
         # every accepted move strictly lowers the objective, so no split
         # comes back: fewer than 2**n moves, at most 2**n sweeps, and the
         # descent can only end on a sweep without a move
-        max_sweeps = max_moves = 2**n + 1
+        iters = 2**n + 1
     else:
-        max_sweeps = data.draw(st.integers(1, 4))
-        max_moves = data.draw(st.integers(1, 6))
+        iters = data.draw(st.integers(1, 6))
     side = start.copy()
-    got = _kernels.refine_split(
-        lptr, lind, side, *_split_counts(lptr, lind, start), n0, n - n0,
-        max_sweeps, max_moves,
-    )
+    got = _kernels.refine_split(lptr, lind, side, iters)
     assert got == _split_counts(lptr, lind, side)
     assert 1 <= (side == 0).sum() <= n - 1
     assert _ncut(*got) <= _ncut(*_split_counts(lptr, lind, start))
-    assert (side != start).sum() <= max_moves
+    assert (side != start).sum() <= iters
     if ample:
         for v in range(n):
             if (side == side[v]).sum() > 1:
@@ -288,12 +280,12 @@ def test_refine_split_matches_the_rescanning_loop(data, n):
     n0 = data.draw(st.integers(1, n - 1))
     start = np.ones(n, np.int8)
     start[data.draw(st.permutations(range(n)))[:n0]] = 0
-    # small caps stop the descent in the middle of a sweep
-    max_sweeps = data.draw(st.integers(0, 6))
-    max_moves = data.draw(st.integers(0, 12))
-    args = (*_split_counts(lptr, lind, start), n0, n - n0, max_sweeps, max_moves)
+    # a small cap stops the descent in the middle of a sweep; the oracle
+    # takes the starting counts and its two caps as arguments
+    iters = data.draw(st.integers(0, 12))
+    args = (*_split_counts(lptr, lind, start), n0, n - n0, iters, iters)
     side, want_side = start.copy(), start.copy()
-    got = _kernels.refine_split(lptr, lind, side, *args)
+    got = _kernels.refine_split(lptr, lind, side, iters)
     want = oracles.refine_split(lptr, lind, want_side, *args)
     assert got == want
     assert [type(c) for c in got] == [type(c) for c in want]

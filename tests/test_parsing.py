@@ -12,6 +12,7 @@ from kmpcluster import (
     Clustering,
     ConfigError,
     Network,
+    _kernels,
     all_core,
     extract_cores,
     has_positive_modularity,
@@ -83,6 +84,29 @@ def test_validate_empty_core_never_kmp_valid():
     report = validate(net, clustering, 2, 1)
     cv = report.clusters[0]
     assert cv.k_valid and not cv.m_valid and not cv.kmp_valid
+
+
+def test_validate_gathers_from_the_network_once(monkeypatch):
+    # the cores' subgraph is taken from the members' subgraph, which
+    # already drops the arcs between clusters
+    real = _kernels.extract_local_csr
+    whole = []
+
+    def counting(indptr, *args):
+        whole.append(indptr is net.indptr)
+        return real(indptr, *args)
+
+    monkeypatch.setattr(_kernels, "extract_local_csr", counting)
+    for seed in range(3):
+        net, cores, periphery = synth.planted_instance(seed)
+        clusters = [
+            Cluster(core=core, noncore=[x for x, c in periphery.items() if c == i])
+            for i, core in enumerate(cores)
+        ]
+        whole.clear()
+        report = validate(net, Clustering(clusters, net.n), 5, 2)
+        assert report.all_kmp_valid()
+        assert whole == [True, False]
 
 
 def test_kmp_parse_pendant_demotion():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import synth
-from kmpcluster import BisectConfig, Clustering, _kernels, all_core, bisection
+from kmpcluster import BisectConfig, Clustering, _kernels, all_core, bisection, parsing
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
@@ -46,5 +46,31 @@ def test_a_traced_iterative_split_reports_stage_two_work():
         "kernels.local_csr_s",
         "kernels.peel_s",
         "parallel.task_s",
+    ):
+        assert metrics[name] > 0, name
+
+
+def test_a_traced_parse_reports_kernel_work():
+    # the tracer reads the kernels' arguments by position: the CSR first
+    # and the node subset or owner array third
+    net, cores, _ = synth.planted_instance(3)
+    stage3 = importlib.import_module("kmpcluster.augment")
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        grown = stage3.augment(net, Clustering([all_core(c) for c in cores], net.n), 2)
+        parsed, _ = parsing.kmp_parse(net, grown, 5, 2)
+        parsing.validate(net, parsed, 5, 2)
+    finally:
+        restore()
+    metrics = tracing.layer_metrics(tracer)
+    for name in (
+        "augment.augment_s",
+        "parsing.kmp_parse_s",
+        "parsing.validate_s",
+        "kernels.peel_arcs",
+        "kernels.attach_s",
+        "kernels.local_csr_s",
+        "kernels.scratch_mb",
     ):
         assert metrics[name] > 0, name
