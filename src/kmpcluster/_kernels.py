@@ -20,11 +20,11 @@ cap bounds both its passes and its moves.
 
 A kernel takes nothing it can derive from its other arguments: the
 node count is `len(indptr) - 1`, and core sizes come from `owner`.
-`extract_local_csr`, `peel` and `component_labels` take an optional
-`group` array after `sub`, one id per node of `sub`. Arcs between
-groups are then ignored, so one call answers for many disjoint
-subgraphs at once, each exactly as if it were called alone. `matvec`
-and `sweep_objective` work on such a block-diagonal local CSR as it is.
+`extract_local_csr` and `peel` take an optional `group` array after
+`sub`, one id per node of `sub`. Arcs between groups are then ignored,
+so one call answers for many disjoint subgraphs at once, each exactly
+as if it were called alone. `local_components`, `matvec` and
+`sweep_objective` work on such a block-diagonal local CSR as it is.
 
 `extract_local_csr` gathers its rows, and `compact` (which drops the
 repeated arc keys of `Network.from_edges`) moves its entries, at most
@@ -174,15 +174,13 @@ def settle(indptr, indices, lab, sup, violators, mark):
         v = np.concatenate((v[sup[v] < new], u[once]))
 
 
-def component_labels(indptr, indices, sub, group=None):
+def component_labels(indptr, indices, sub):
     """Connected component id for each node of `sub` (induced subgraph).
 
     Ids are dense from 0 and ordered by each component's first position
-    in `sub`, which is its smallest member when `sub` is sorted. With
-    `group`, arcs between groups are ignored, so no component spans two
-    groups.
+    in `sub`, which is its smallest member when `sub` is sorted.
     """
-    return local_components(*extract_local_csr(indptr, indices, sub, group))
+    return local_components(*extract_local_csr(indptr, indices, sub))
 
 
 def local_components(lptr, lind):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .clustering import Cluster, Clustering, split_by, union_ids
+from .clustering import Cluster, Clustering, disjoint_concat, split_by, union_ids
 from .errors import ConfigError
 from .graph import Network
 
@@ -24,30 +24,29 @@ def augment(net: Network, clustering: Clustering, p: int) -> Clustering:
     Candidates are the nodes sitting in no cluster of size 2 or more;
     members of singleton clusters count as candidates, and a singleton
     cluster that fails to attach anywhere simply dissolves back to an
-    unclustered node. Cores are never modified.
+    unclustered node. Cores are never modified. The clusters must be
+    disjoint; a node in two raises ValueError.
     """
     if p < 1:
         raise ConfigError(f"p must be at least 1, got {p}")
     targets = clustering.non_singletons()
-    candidates = np.flatnonzero(clustering.member_mask(min_size=2) == 0).astype(
-        np.int64
-    )
+    # the targets' cores, their non-cores, then the singletons, so that
+    # a node in the core of target i is in part i
+    rest = [c.noncore for c in targets] + [c.nodes for c in clustering if c.size < 2]
+    nodes, part = disjoint_concat([c.core for c in targets] + rest)
+    owner = np.full(net.n, -1, dtype=np.int64)
+    owner[nodes] = part
+    candidates = np.flatnonzero((owner < 0) | (owner >= 2 * len(targets)))
     if not targets or not len(candidates):
         return Clustering(list(targets), clustering.n_nodes)
-    owner = np.full(net.n, -1, dtype=np.int64)
-    min_id = np.empty(len(targets), dtype=np.int64)
-    for i, c in enumerate(targets):
-        owner[c.core] = i
-        min_id[i] = c.min_id
+    owner[owner >= len(targets)] = -1
+    min_id = np.fromiter((c.min_id for c in targets), np.int64, len(targets))
     choice = _kernels.best_cluster_per_node(
         net.indptr, net.indices, owner, min_id, candidates, p
     )
-    out = []
-    for c, joined in zip(targets, split_by(choice, candidates, len(targets))):
-        if len(joined):
-            out.append(
-                Cluster(core=c.core, noncore=union_ids([c.noncore, joined]))
-            )
-        else:
-            out.append(Cluster(core=c.core, noncore=c.noncore))
+    joined = split_by(choice, candidates, len(targets))
+    out = [
+        Cluster(core=c.core, noncore=union_ids([c.noncore, j]))
+        for c, j in zip(targets, joined)
+    ]
     return Clustering(out, clustering.n_nodes)

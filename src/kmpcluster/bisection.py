@@ -36,7 +36,7 @@ from .clustering import Clustering, all_core, disjoint_concat, split_by, union_i
 from .errors import ConfigError
 from .graph import Network
 from .parallel import ordered_map
-from .parsing import Subgraph, _core_split, _positive
+from .parsing import Subgraph, _core_split, _positive_groups
 
 log = logging.getLogger(__name__)
 
@@ -74,21 +74,15 @@ def normalized_cut(net: Network, c1, c2) -> float:
     b = net.subset(c2)
     if not len(a) or not len(b):
         raise ValueError("both parts must be nonempty")
-    nodes = union_ids([a, b])
-    if len(nodes) < len(a) + len(b):
-        raise ValueError("parts overlap")
+    nodes, part = disjoint_concat([a, b])
     side = np.full(net.n, -1, dtype=np.int8)
-    side[a] = 0
-    side[b] = 1
-    cut, i0, i1 = _kernels.cut_counts(net.indptr, net.indices, side, nodes)
-    l0 = i0 + cut
-    l1 = i1 + cut
-    if l0 == 0 or l1 == 0:
+    side[nodes] = part
+    ncut = _kernels._ncut(*_kernels.cut_counts(net.indptr, net.indices, side, nodes))
+    if ncut == math.inf:
         log.warning(
             "normalized cut undefined: one part has no edges inside the cluster"
         )
-        return math.inf
-    return cut / l0 + cut / l1
+    return ncut
 
 
 @functools.cache
@@ -331,10 +325,8 @@ def _qualifying(net: Network, parts, k: int) -> np.ndarray:
     lptr, _ = _kernels.extract_local_csr(net.indptr, net.indices, nodes, part)
     size = np.bincount(part, minlength=len(parts))
     weak = np.bincount(part[np.diff(lptr) < k], minlength=len(parts))
-    bounds = np.concatenate([[0], np.cumsum(size)])
-    ls = np.diff(lptr[bounds]) // 2
-    ds = np.diff(np.concatenate([[0], np.cumsum(net.degrees[nodes])])[bounds])
-    return (size > 0) & (weak == 0) & _positive(int(net.m), ls, ds)
+    positive = _positive_groups(net, lptr, nodes, part, len(parts))
+    return (size > 0) & (weak == 0) & positive
 
 
 def recursive_split(

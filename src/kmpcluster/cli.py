@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .augment import augment
 from .errors import ConfigError, KmpError
-from .graph import load_edge_list, write_id_map
+from .graph import load_edge_list, text_lines, write_id_map
 from .io import (
     load_clustering,
     write_clustering,
@@ -61,10 +61,7 @@ _PIPELINE_KEYS = {
 def _read_config_file(path: str) -> dict:
     """key=value per line, # comments. Keys match the pipeline flags."""
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(Path(path).read_bytes()):
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected key=value")
         key, _, value = line.partition("=")
@@ -198,14 +195,15 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _load_runs(net, paths):
-    return [load_clustering(net, p) for p in paths]
+def _marker_runs(args):
+    """The marker panel and the clusterings that `markers` and `mds` read."""
+    net = load_edge_list(args.edges)
+    panel = load_markers(net, args.markers)
+    return panel, [load_clustering(net, p) for p in args.clusterings]
 
 
 def _cmd_markers(args) -> int:
-    net = load_edge_list(args.edges)
-    panel = load_markers(net, args.markers)
-    runs = _load_runs(net, args.clusterings)
+    panel, runs = _marker_runs(args)
     always = always_clustered(panel, runs)
     groups = always_coclustered(panel, always, runs)
     payload = {
@@ -226,9 +224,7 @@ def _cmd_markers(args) -> int:
 
 
 def _cmd_mds(args) -> int:
-    net = load_edge_list(args.edges)
-    panel = load_markers(net, args.markers)
-    runs = _load_runs(net, args.clusterings)
+    panel, runs = _marker_runs(args)
     d = mds_distances(panel, runs)
     coords = classical_mds(d, dims=2)
     out = _outdir(args)
@@ -250,8 +246,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pipeline", help="run the full four-stage pipeline")
-    p.add_argument("edges", help="edge list TSV")
+    def command(name, func, parents, text):
+        p = sub.add_parser(name, parents=parents, help=text)
+        p.set_defaults(func=func)
+        return p
+
+    # the arguments that several subcommands share, each declared once
+    def shared(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    edges = shared()
+    edges.add_argument("edges", help="edge list TSV")
+    out = shared()
+    out.add_argument("--out", required=True, help="output directory")
+    clustering = shared(edges)
+    clustering.add_argument("clustering", help="clustering TSV")
+    runs = shared(edges)
+    runs.add_argument("markers", help="marker file, one node id per line")
+    runs.add_argument("clusterings", nargs="+", help="clustering TSVs, one per run")
+    k = shared()
+    k.add_argument("--k", type=int, required=True, help="core degree threshold")
+    kp = shared(k)
+    kp.add_argument(
+        "--p", type=int, default=PipelineConfig.p, help="periphery attachment threshold"
+    )
+
+    p = command(
+        "pipeline", _cmd_pipeline, [edges, out], "run the full four-stage pipeline"
+    )
+    # None where not given, so that the config file can set them
     p.add_argument("--k", type=int, default=None, help="core degree threshold")
     p.add_argument("--p", type=int, default=None, help="periphery attachment threshold")
     p.add_argument("--stage2", choices=STAGE2_CHOICES, default=None)
@@ -259,26 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", dest="max_rounds", type=int, default=None)
     p.add_argument("--stage3", choices=("on", "off"), default=None)
     p.add_argument("--config", default=None, help="key=value config file; flags win")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("ikc", help="iterative top-core clustering only")
-    p.add_argument("edges")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ikc)
-
-    p = sub.add_parser("kcore", help="connected components of the k-core")
-    p.add_argument("edges")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_kcore)
-
-    p = sub.add_parser("parse", help="make an existing clustering kmp-valid")
-    p.add_argument("edges")
-    p.add_argument("clustering")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, default=PipelineConfig.p)
+    command("ikc", _cmd_ikc, [edges, k, out], "iterative top-core clustering only")
+    command("kcore", _cmd_kcore, [edges, k, out], "connected components of the k-core")
+    p = command(
+        "parse",
+        _cmd_parse,
+        [clustering, kp, out],
+        "make an existing clustering kmp-valid",
+    )
     p.add_argument(
         "--mode",
         choices=("kmp", "strict", "extract"),
@@ -290,36 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="augment with unclustered periphery before parsing (kmp mode)",
     )
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("validate", help="check a clustering for kmp-validity")
-    p.add_argument("edges")
-    p.add_argument("clustering")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, default=PipelineConfig.p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("stats", help="coverage and size distribution")
-    p.add_argument("edges")
-    p.add_argument("clustering")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("markers", help="marker placement across runs")
-    p.add_argument("edges")
-    p.add_argument("markers", help="marker file, one node id per line")
-    p.add_argument("clusterings", nargs="+", help="clustering TSVs, one per run")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_markers)
-
-    p = sub.add_parser("mds", help="marker distance matrix and 2-d embedding")
-    p.add_argument("edges")
-    p.add_argument("markers")
-    p.add_argument("clusterings", nargs="+")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_mds)
+    command(
+        "validate",
+        _cmd_validate,
+        [clustering, kp, out],
+        "check a clustering for kmp-validity",
+    )
+    command("stats", _cmd_stats, [clustering, out], "coverage and size distribution")
+    command("markers", _cmd_markers, [runs, out], "marker placement across runs")
+    command("mds", _cmd_mds, [runs, out], "marker distance matrix and 2-d embedding")
 
     return parser
 

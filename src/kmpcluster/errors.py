@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a message they share."""
 
 
 class KmpError(Exception):
@@ -19,3 +19,14 @@ class MarkerFileError(KmpError):
 
 class ConfigError(KmpError):
     """A parameter combination the algorithms cannot honor."""
+
+
+_LISTED = 10  # the unknown ids an error names
+
+
+def unknown_ids(path, kind: str, ids: list[str]) -> str:
+    """The message for the `ids` of a `kind` the file `path` names but
+    the network lacks; it lists the first few."""
+    shown = ", ".join(ids[:_LISTED])
+    more = "" if len(ids) <= _LISTED else f" (+{len(ids) - _LISTED} more)"
+    return f"{path}: {len(ids)} {kind} ids not in the network: {shown}{more}"

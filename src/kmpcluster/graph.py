@@ -101,9 +101,7 @@ class Network:
     # -- basic queries ---------------------------------------------------
 
     def degree(self, v: NodeId) -> int:
-        if v < 0 or v >= self.n:
-            raise IndexError(f"node {v} out of range for network with {self.n} nodes")
-        return int(self.indptr[v + 1] - self.indptr[v])
+        return len(self.neighbors(v))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -122,9 +120,7 @@ class Network:
     # -- id mapping ------------------------------------------------------
 
     def external_id(self, v: NodeId) -> str:
-        if self._ext is None:
-            return str(v)
-        return str(self._ext[v])
+        return self.external_ids([v])[0]
 
     def external_ids(self, nodes) -> list[str]:
         """External labels of `nodes`, in the order given."""
@@ -213,8 +209,6 @@ def subset_degrees(net: Network, nodes) -> np.ndarray:
 def induced_edge_count(net: Network, nodes) -> int:
     """Number of edges with both endpoints in the subset."""
     s = net.subset(nodes)
-    if len(s) == 0:
-        return 0
     return int(_kernels.induced_edges(net.indptr, net.indices, net.mask(s), s))
 
 
@@ -487,6 +481,18 @@ def _integer_values(text: bytes):
     return value
 
 
+def text_lines(data: bytes):
+    """(line number, stripped line) for each line of the UTF-8 text
+    `data` that is neither blank nor a `#` comment. It decodes `data` at
+    once, so the caller need not hold it while reading the lines."""
+    lines = data.decode("utf-8").splitlines()
+    return (
+        (lineno, line)
+        for lineno, line in enumerate(map(str.strip, lines), start=1)
+        if line and not line.startswith("#")
+    )
+
+
 def _load_general(path: Path, data: bytes) -> Network:
     """Read an edge list of string ids (say DOIs) from its bytes `data`.
 
@@ -498,10 +504,7 @@ def _load_general(path: Path, data: bytes) -> Network:
     streaming reader.
     """
     pairs = []
-    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(data):
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListError(
@@ -520,9 +523,9 @@ def _load_general(path: Path, data: bytes) -> Network:
 def write_edge_list(net: Network, path) -> None:
     """Write the network back out, one `lo<TAB>hi` line per edge."""
     lo, hi = net.edge_pairs()
-    with open(path, "w") as f:
-        for a, b in zip(lo, hi):
-            f.write(f"{net.external_id(int(a))}\t{net.external_id(int(b))}\n")
+    with open(path, "w", encoding="utf-8") as f:
+        for a, b in zip(label_batches(net, lo), label_batches(net, hi)):
+            f.write("".join([f"{x}\t{y}\n" for x, y in zip(a, b)]))
 
 
 _ROWS = 1 << 16  # rows a writer formats at a time
@@ -537,7 +540,7 @@ def label_batches(net: Network, nodes):
 
 def write_id_map(net: Network, path) -> None:
     """Write `external<TAB>internal` rows for every node."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         v = 0
         for labels in label_batches(net, net.all_nodes()):
             f.write("".join([f"{e}\t{i}\n" for i, e in enumerate(labels, v)]))

@@ -22,14 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import Cluster, Clustering, split_by
-from .errors import ClusteringFileError
-from .graph import Network, _integer_pairs, label_batches
-
-_MAX_LISTED = 10
+from .errors import ClusteringFileError, unknown_ids
+from .graph import Network, _integer_pairs, label_batches, text_lines
 
 
 def write_clustering(net: Network, clustering: Clustering, path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for ci, c in enumerate(clustering.clusters):
             for part, role in ((c.core, "core"), (c.noncore, "noncore")):
                 tail = f"\t{ci}\t{role}\n"
@@ -49,12 +47,16 @@ def load_clustering(net: Network, path) -> Clustering:
     binary search, repeated rows from one sort. Anything else, and any
     such file with an unknown id or a conflicting repeat, is read row
     by row, which words every error. Either way the rows are cut into
-    clusters and roles in one grouped pass at the end.
+    clusters and roles in one grouped pass at the end. The file is read
+    once, and its bytes are dropped before either of those steps.
     """
     path = Path(path)
-    rows = _integer_rows(net, path.read_bytes()) if net.integer_ids else None
+    data = path.read_bytes()
+    rows = _integer_rows(net, data) if net.integer_ids else None
+    lines = text_lines(data) if rows is None else None
+    del data
     if rows is None:
-        rows = _read_rows(net, path)
+        rows = _read_rows(net, path, lines)
     return _group_rows(net, *rows)
 
 
@@ -87,17 +89,15 @@ def _integer_rows(net: Network, data: bytes):
     return ids[first], keys[first], np.zeros(int(first.sum()), dtype=bool)
 
 
-def _read_rows(net: Network, path: Path):
-    """`(ids, keys, noncore)` of a clustering file, read row by row."""
+def _read_rows(net: Network, path: Path, lines):
+    """`(ids, keys, noncore)` of the clustering file `path`, read row by
+    row from its `text_lines`."""
     seen: dict[str, tuple[str, str]] = {}
     unknown: list[str] = []
     ids: list[int] = []
     keys: list[str] = []
     noncore: list[bool] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in lines:
         parts = line.split("\t") if "\t" in line else line.split()
         if len(parts) == 2:
             node, cid = parts
@@ -128,11 +128,7 @@ def _read_rows(net: Network, path: Path):
         keys.append(cid)
         noncore.append(role == "noncore")
     if unknown:
-        shown = ", ".join(unknown[:_MAX_LISTED])
-        more = "" if len(unknown) <= _MAX_LISTED else f" (+{len(unknown) - _MAX_LISTED} more)"
-        raise ClusteringFileError(
-            f"{path}: {len(unknown)} node ids not in the network: {shown}{more}"
-        )
+        raise ClusteringFileError(unknown_ids(path, "node", unknown))
     if not ids:
         raise ClusteringFileError(f"{path}: no cluster assignments found")
     return np.array(ids, dtype=np.int64), keys, np.array(noncore)
@@ -154,27 +150,27 @@ def _group_rows(net: Network, ids, keys, noncore) -> Clustering:
 def write_node_list(net: Network, nodes, path) -> None:
     """One external id per line, in internal id order."""
     nodes = np.sort(np.asarray(nodes, dtype=np.int64))
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for labels in label_batches(net, nodes):
             f.write("".join([f"{e}\n" for e in labels]))
 
 
 def write_json(payload: dict, path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
 def write_matrix_tsv(labels: list[str], matrix: np.ndarray, path) -> None:
     """Square matrix with a header row and row labels."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("id\t" + "\t".join(labels) + "\n")
         for label, row in zip(labels, matrix):
             f.write(label + "\t" + "\t".join(str(x) for x in row.tolist()) + "\n")
 
 
 def write_coords_tsv(labels: list[str], coords: np.ndarray, path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("id\tx\ty\n")
         for label, row in zip(labels, coords):
             f.write(f"{label}\t{float(row[0])!r}\t{float(row[1])!r}\n")

@@ -17,11 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import Cluster, Clustering, as_ids
-from .errors import MarkerFileError
-from .graph import Network
-
-_MAX_LISTED = 10
+from .clustering import Cluster, Clustering, as_ids, split_by
+from .errors import MarkerFileError, unknown_ids
+from .graph import Network, text_lines
 
 
 @dataclass
@@ -47,10 +45,7 @@ def load_markers(net: Network, path) -> MarkerPanel:
     internal: list[int] = []
     seen = set()
     missing = []
-    for raw in path.read_text().splitlines():
-        token = raw.strip()
-        if not token or token.startswith("#"):
-            continue
+    for _, token in text_lines(path.read_bytes()):
         if token in seen:
             continue
         seen.add(token)
@@ -61,11 +56,7 @@ def load_markers(net: Network, path) -> MarkerPanel:
             external.append(token)
             internal.append(v)
     if missing:
-        shown = ", ".join(missing[:_MAX_LISTED])
-        more = "" if len(missing) <= _MAX_LISTED else f" (+{len(missing) - _MAX_LISTED} more)"
-        raise MarkerFileError(
-            f"{path}: {len(missing)} marker ids not in the network: {shown}{more}"
-        )
+        raise MarkerFileError(unknown_ids(path, "marker", missing))
     if not external:
         raise MarkerFileError(f"{path}: no marker ids found")
     return MarkerPanel(external=external, internal=np.array(internal, dtype=np.int64))
@@ -73,7 +64,9 @@ def load_markers(net: Network, path) -> MarkerPanel:
 
 def _marker_assignments(panel: MarkerPanel, runs: list[Clustering]) -> np.ndarray:
     """Cluster index per (run, marker); -1 when not in a non-singleton
-    cluster."""
+    cluster. Raises ValueError when there is no run."""
+    if not runs:
+        raise ValueError("need at least one run")
     out = np.empty((len(runs), len(panel)), dtype=np.int64)
     for r, clustering in enumerate(runs):
         out[r] = clustering.assignment(min_size=2)[panel.internal]
@@ -101,8 +94,6 @@ def always_clustered(panel: MarkerPanel, runs: list[Clustering]) -> np.ndarray:
     Returns positions into the panel (sorted), not node ids, so callers
     can slice both the labels and the internal ids.
     """
-    if not runs:
-        raise ValueError("need at least one run")
     assign = _marker_assignments(panel, runs)
     return np.flatnonzero((assign >= 0).all(axis=0)).astype(np.int64)
 
@@ -119,12 +110,10 @@ def always_coclustered(
     cluster in some run stays alone. Groups are returned sorted by
     their first member, singleton groups included.
     """
-    if not runs:
-        raise ValueError("need at least one run")
     markers = as_ids(markers)
+    assign = _marker_assignments(panel, runs)[:, markers]
     if not len(markers):
         return []
-    assign = _marker_assignments(panel, runs)[:, markers]
     _, first, inverse = np.unique(
         assign, axis=1, return_index=True, return_inverse=True
     )
@@ -132,9 +121,7 @@ def always_coclustered(
     group = first[inverse.reshape(-1)]
     placed = (assign >= 0).all(axis=0)
     group = np.where(placed, group, np.arange(len(markers)))
-    order = np.argsort(group, kind="stable")
-    bounds = np.flatnonzero(np.diff(group[order])) + 1
-    return [markers[members] for members in np.split(order, bounds)]
+    return [g for g in split_by(group, markers, len(markers)) if len(g)]
 
 
 def smallest_common_cluster(
@@ -149,8 +136,6 @@ def smallest_common_cluster(
     markers = as_ids(markers)
     if not len(markers):
         raise ValueError("no markers given")
-    if not runs:
-        raise ValueError("need at least one run")
     assign = _marker_assignments(panel, runs)[:, markers]
     best: tuple[int, Cluster] | None = None
     for r, clustering in enumerate(runs):
@@ -168,8 +153,6 @@ def smallest_common_cluster(
 def mds_distances(panel: MarkerPanel, runs: list[Clustering]) -> np.ndarray:
     """D[x][y] = number of runs in which markers x and y do not share a
     cluster. Symmetric, zero diagonal, bounded by the run count."""
-    if not runs:
-        raise ValueError("need at least one run")
     assign = _marker_assignments(panel, runs)
     nm = len(panel)
     same = np.zeros((nm, nm), dtype=np.int64)

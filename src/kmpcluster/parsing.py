@@ -90,12 +90,18 @@ def _screened_components(net: Network, lptr, lind, nodes):
     """`modular_components` of the local CSR (lptr, lind), whose local id
     i is the network node nodes[i]."""
     comp = _kernels.local_components(lptr, lind)
-    ncomp = int(comp.max(initial=-1)) + 1
-    ls = np.zeros(ncomp, np.int64)
-    np.add.at(ls, comp, np.diff(lptr))
-    ds = np.zeros(ncomp, np.int64)
-    np.add.at(ds, comp, net.degrees[nodes])
-    return comp, _positive(int(net.m), ls // 2, ds)
+    return comp, _positive_groups(net, lptr, nodes, comp, int(comp.max(initial=-1)) + 1)
+
+
+def _positive_groups(net: Network, lptr, nodes, group, count: int):
+    """Whether each of `count` groups has positive modularity, given the
+    row pointers of a local CSR with no arc between groups, whose local
+    id i is the network node nodes[i] in group group[i]."""
+    ls = np.zeros(count, np.int64)
+    np.add.at(ls, group, np.diff(lptr))
+    ds = np.zeros(count, np.int64)
+    np.add.at(ds, group, net.degrees[nodes])
+    return _positive(int(net.m), ls // 2, ds)
 
 
 # -- validity ----------------------------------------------------------

@@ -200,7 +200,9 @@ def test_write_then_load_round_trip(tmp_path_factory, data):
         )
     )
     u, v = zip(*pairs)
-    net = Network.from_edges(u, v, n=n)
+    # integer ids, or string ids that are not ASCII
+    ext = data.draw(st.sampled_from([None, [f"café{i}" for i in range(n)]]))
+    net = Network.from_edges(u, v, n=n, ext_ids=ext)
     if net.m == 0:
         return
     path = tmp_path_factory.mktemp("rt") / "edges.tsv"

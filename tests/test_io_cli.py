@@ -253,8 +253,12 @@ def test_integer_partition_path_matches_row_path(tmp_path_factory, case):
     path.write_bytes(text.encode())
     if plain:
         assert io._integer_rows(net, path.read_bytes()) is not None
-    want = _outcome(twin, lambda: io._group_rows(twin, *io._read_rows(twin, path)))
-    assert _outcome(net, lambda: io._group_rows(net, *io._read_rows(net, path))) == want
+
+    def rows(net):
+        return io._read_rows(net, path, graph.text_lines(path.read_bytes()))
+
+    want = _outcome(twin, lambda: io._group_rows(twin, *rows(twin)))
+    assert _outcome(net, lambda: io._group_rows(net, *rows(net))) == want
     assert _outcome(net, lambda: load_clustering(net, path)) == want
 
 
@@ -586,3 +590,57 @@ def test_cli_log_level_silences_stage_lines_only(tmp_path):
         assert (runs[None][1] / name).read_bytes() == (
             runs["WARNING"][1] / name
         ).read_bytes()
+
+
+def test_cli_text_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # under the C locale, without coercion or UTF-8 mode, Python's default
+    # text encoding is ASCII; every text file must still be UTF-8
+    import os
+    import subprocess
+    import sys
+
+    names = ["café", "b", "c", "d", "e", "f", "g"]
+    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    edges += [("g", "h"), ("h", "i")]
+    (tmp_path / "net.tsv").write_text(
+        "".join(f"{a}\t{b}\n" for a, b in edges), encoding="utf-8"
+    )
+    (tmp_path / "part.tsv").write_text(
+        "".join(f"{v}\t0\n" for v in names), encoding="utf-8"
+    )
+    (tmp_path / "markers.txt").write_text("café\nb\n", encoding="utf-8")
+    # the runs start in tmp_path, so the package goes on the path by name
+    src = os.path.dirname(os.path.dirname(graph.__file__))
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    env = {**os.environ, "PYTHONPATH": path}
+    ascii_env = {**env, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    runs = {"ascii": (ascii_env, ["-X", "utf8=0"]), "default": (env, [])}
+    commands = {
+        "ikc": ["ikc", "net.tsv", "--k", "5"],
+        "validate": ["validate", "net.tsv", "part.tsv", "--k", "5"],
+        "markers": ["markers", "net.tsv", "markers.txt", "part.tsv"],
+    }
+    for run, (run_env, flags) in runs.items():
+        for name, args in commands.items():
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "kmpcluster.cli", *args,
+                 "--out", f"{run}-{name}"],
+                cwd=tmp_path,
+                env=run_env,
+                capture_output=True,
+                text=True,
+                errors="replace",
+            )
+            assert proc.returncode == 0, (run, name, proc.stderr)
+    markers = json.loads((tmp_path / "ascii-markers" / "markers.json").read_bytes())
+    assert markers["always_clustered"] == ["café", "b"]
+    files = sorted(p.name for p in (tmp_path / "default-ikc").iterdir())
+    assert "clustering.tsv" in files
+    assert files == sorted(p.name for p in (tmp_path / "ascii-ikc").iterdir())
+    for name in files:
+        assert (tmp_path / "ascii-ikc" / name).read_bytes() == (
+            tmp_path / "default-ikc" / name
+        ).read_bytes()
+    assert "café\t0\tcore" in (tmp_path / "ascii-ikc" / "clustering.tsv").read_text(
+        encoding="utf-8"
+    )

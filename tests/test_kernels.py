@@ -95,7 +95,9 @@ def test_grouped_peel_and_components_match_oracles_per_group(case):
     group = rng.integers(0, 4, len(sub))
     adj = oracles.adjacency(net)
     labels = _kernels.peel(net.indptr, net.indices, sub, group)
-    comp = _kernels.component_labels(net.indptr, net.indices, sub, group)
+    comp = _kernels.local_components(
+        *_kernels.extract_local_csr(net.indptr, net.indices, sub, group)
+    )
     expect_labels = {}
     expect_comps = []
     for g in range(4):

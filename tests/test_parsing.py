@@ -14,6 +14,7 @@ from kmpcluster import (
     Network,
     _kernels,
     all_core,
+    augment,
     extract_cores,
     has_positive_modularity,
     kmp_parse,
@@ -335,14 +336,18 @@ def test_overlapping_clusters_are_rejected():
     edges = synth.clique_edges(range(8)) + synth.cycle_edges(range(8, 20))
     net = synth.net_from(edges)
     overlapping = Clustering([all_core(range(5)), all_core(range(4, 8))], net.n)
+    # node 4 in the core of one cluster and the periphery of the other
+    mixed = Clustering([Cluster(range(4), [4]), all_core(range(4, 8))], net.n)
     calls = (
-        lambda: kmp_parse(net, overlapping, 3, 2),
-        lambda: extract_cores(net, overlapping, 3),
-        lambda: validate(net, overlapping, 3, 2),
+        lambda c: kmp_parse(net, c, 3, 2),
+        lambda c: extract_cores(net, c, 3),
+        lambda c: validate(net, c, 3, 2),
+        lambda c: augment(net, c, 2),
     )
-    for call in calls:
-        with pytest.raises(ValueError, match="1 nodes appear in more than one"):
-            call()
+    for clustering in (overlapping, mixed):
+        for call in calls:
+            with pytest.raises(ValueError, match="1 nodes appear in more than one"):
+                call(clustering)
 
 
 def test_strict_filter_keeps_only_valid():
