@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .clustering import Cluster, Clustering, disjoint_concat, split_by, union_ids
-from .errors import ConfigError
+from .errors import check_thresholds
 from .graph import Network
 
 
@@ -27,8 +27,7 @@ def augment(net: Network, clustering: Clustering, p: int) -> Clustering:
     unclustered node. Cores are never modified. The clusters must be
     disjoint; a node in two raises ValueError.
     """
-    if p < 1:
-        raise ConfigError(f"p must be at least 1, got {p}")
+    check_thresholds(p=p)
     targets = clustering.non_singletons()
     # the targets' cores, their non-cores, then the singletons, so that
     # a node in the core of target i is in part i

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .clustering import Clustering, all_core, disjoint_concat, split_by, union_ids
-from .errors import ConfigError
+from .errors import ConfigError, check_thresholds
 from .graph import Network
 from .parallel import ordered_map
 from .parsing import Subgraph, _core_split, _positive_groups
@@ -55,8 +55,7 @@ class BisectConfig:
     max_rounds: int = 32
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"k must be at least 1, got {self.k}")
+        check_thresholds(self.k)
         if self.local_search_iters < 0:
             raise ConfigError("local_search_iters must be nonnegative")
         if self.max_rounds < 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .augment import augment
@@ -39,54 +40,30 @@ from .pipeline import STAGE2_CHOICES, PipelineConfig, run_pipeline
 log = logging.getLogger(__name__)
 
 
-def _on_off(value) -> bool:
-    value = str(value).lower()
-    if value not in ("on", "off"):
-        raise ConfigError(f"stage3 must be on or off, got {value!r}")
-    return value == "on"
-
-
-# pipeline flag (its dest, also the config-file key) -> (PipelineConfig
-# field, parser of the given value); the dataclass holds the defaults
-_PIPELINE_KEYS = {
-    "k": ("k", int),
-    "p": ("p", int),
-    "stage2": ("stage2", str),
-    "local_search": ("local_search_iters", int),
-    "max_rounds": ("max_rounds", int),
-    "stage3": ("stage3", _on_off),
-}
-
-
-def _read_config_file(path: str) -> dict:
-    """key=value per line, # comments. Keys match the pipeline flags."""
-    values = {}
-    for lineno, line in text_lines(Path(path).read_bytes()):
-        if "=" not in line:
+def _pipeline_config(args) -> PipelineConfig:
+    """The flags' settings over the config file's. The settings parser
+    reads each `key=value` line of the file as `--key value`, `_` in the
+    key read as `-`, so the file and the flags share types and choices."""
+    path = args.config
+    given = argparse.Namespace()
+    for lineno, line in text_lines(Path(path).read_bytes(), path) if path else ():
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ConfigError(f"{path}: line {lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _PIPELINE_KEYS:
-            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-        values[key] = value.strip()
-    return values
-
-
-def _effective_pipeline_config(args) -> PipelineConfig:
-    given = _read_config_file(args.config) if args.config else {}
-    for key in _PIPELINE_KEYS:
-        flag = getattr(args, key)
-        if flag is not None:
-            given[key] = flag
+        flag = "--" + key.strip().replace("_", "-")
+        try:
+            _, unknown = args.settings.parse_known_args([flag, value.strip()], given)
+        except argparse.ArgumentError as err:
+            raise ConfigError(f"{path}: line {lineno}: {err}") from None
+        if unknown:
+            raise ConfigError(f"{path}: line {lineno}: unknown key {key.strip()!r}")
+    flags = [f.name for f in fields(PipelineConfig) if hasattr(args, f.name)]
+    given = vars(given) | {name: getattr(args, name) for name in flags}
     if "k" not in given:
         raise ConfigError("k is required (flag --k or config file)")
-    return PipelineConfig(
-        **{
-            field: parse(given[key])
-            for key, (field, parse) in _PIPELINE_KEYS.items()
-            if key in given
-        }
-    )
+    if "stage3" in given:
+        given["stage3"] = given["stage3"] == "on"
+    return PipelineConfig(**given)
 
 
 def _outdir(args) -> Path:
@@ -107,7 +84,7 @@ def _summary(net, clustering, **extra) -> dict:
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = _effective_pipeline_config(args)
+    cfg = _pipeline_config(args)
     net = load_edge_list(args.edges)
     log.info("loaded %d nodes, %d edges", net.n, net.m)
     res = run_pipeline(net, cfg)
@@ -252,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     # the arguments that several subcommands share, each declared once
-    def shared(*parents):
-        return argparse.ArgumentParser(add_help=False, parents=parents)
+    def shared(*parents, **options):
+        return argparse.ArgumentParser(add_help=False, parents=parents, **options)
 
     edges = shared()
     edges.add_argument("edges", help="edge list TSV")
@@ -271,17 +248,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--p", type=int, default=PipelineConfig.p, help="periphery attachment threshold"
     )
 
-    p = command(
-        "pipeline", _cmd_pipeline, [edges, out], "run the full four-stage pipeline"
+    # the pipeline's settings, as its flags and as the lines of its config
+    # file; each dest is a PipelineConfig field, absent where not given
+    settings = shared(
+        allow_abbrev=False, exit_on_error=False, argument_default=argparse.SUPPRESS
     )
-    # None where not given, so that the config file can set them
-    p.add_argument("--k", type=int, default=None, help="core degree threshold")
-    p.add_argument("--p", type=int, default=None, help="periphery attachment threshold")
-    p.add_argument("--stage2", choices=STAGE2_CHOICES, default=None)
-    p.add_argument("--local-search", dest="local_search", type=int, default=None)
-    p.add_argument("--max-rounds", dest="max_rounds", type=int, default=None)
-    p.add_argument("--stage3", choices=("on", "off"), default=None)
+    settings.add_argument("--k", type=int, help="core degree threshold")
+    settings.add_argument("--p", type=int, help="periphery attachment threshold")
+    settings.add_argument("--stage2", choices=STAGE2_CHOICES)
+    settings.add_argument(
+        "--local-search", dest="local_search_iters", type=int, metavar="LOCAL_SEARCH"
+    )
+    settings.add_argument("--max-rounds", type=int)
+    settings.add_argument("--stage3", type=str.lower, choices=("on", "off"))
+
+    p = command(
+        "pipeline",
+        _cmd_pipeline,
+        [edges, out, settings],
+        "run the full four-stage pipeline",
+    )
     p.add_argument("--config", default=None, help="key=value config file; flags win")
+    p.set_defaults(settings=settings)
 
     command("ikc", _cmd_ikc, [edges, k, out], "iterative top-core clustering only")
     command("kcore", _cmd_kcore, [edges, k, out], "connected components of the k-core")

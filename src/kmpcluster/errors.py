@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and a message they share."""
+"""Exception types, the checks on the thresholds k and p, and a message."""
 
 
 class KmpError(Exception):
@@ -17,8 +17,19 @@ class MarkerFileError(KmpError):
     """A marker panel file references unknown nodes or is unreadable."""
 
 
-class ConfigError(KmpError):
+class ConfigError(KmpError, ValueError):
     """A parameter combination the algorithms cannot honor."""
+
+
+def check_thresholds(k=None, p=None, p_below_k: bool = False) -> None:
+    """Raise ConfigError unless k >= 1 and p >= 1, each checked when
+    given, and, with `p_below_k`, p < k."""
+    if k is not None and k < 1:
+        raise ConfigError(f"k must be at least 1, got {k}")
+    if p is not None and p < 1:
+        raise ConfigError(f"p must be at least 1, got {p}")
+    if p_below_k and p >= k:
+        raise ConfigError(f"p must be smaller than k, got p={p} with k={k}")
 
 
 _LISTED = 10  # the unknown ids an error names

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .clustering import as_ids, run_starts, split_by
-from .errors import EdgeListError
+from .errors import EdgeListError, KmpError
 
 NodeId = int
 
@@ -293,19 +293,17 @@ def _read_integers(path: Path):
     to hand off; raises EdgeListError for an empty or edgeless file.
 
     The file is read in `_line_chunks`, and each chunk goes through
-    `_blank_comments` and `_integer_values` alone. That is the same as
-    one pass over the whole file: every check is per line or per token,
-    a chunk starts a line, and only the last chunk can end without an
-    LF, so no CR/LF pair and no token is cut.
+    `_integer_values` alone. That is the same as one pass over the whole
+    file: every check is per line or per token, a chunk starts a line,
+    and only the last chunk can end without an LF, so no CR/LF pair and
+    no token is cut.
     """
     parts = []
     blank = True
     with open(path, "rb") as f:
         for chunk in _line_chunks(f):
             blank = blank and chunk.isspace()
-            if b"#" in chunk:
-                chunk = _blank_comments(np.frombuffer(chunk, dtype=np.uint8).copy())
-            value = None if chunk is None else _integer_values(chunk)
+            value = _integer_values(chunk)
             if value is None:
                 return None
             parts.append(value)
@@ -381,9 +379,9 @@ def _integer_pairs(data: bytes):
     each token parsed as an integer. Because no accepted token has a
     leading zero, every value prints back as the token it came from.
 
-    `_blank_comments` checks the comments and blanks them in a copy.
-    `_integer_values` then checks the rest, each check one pass over
-    the bytes or the tokens:
+    `_integer_values` has `_blank_comments` check the comments and blank
+    them in a copy, then checks the rest, each check one pass over the
+    bytes or the tokens:
 
     - every CR is followed by an LF, and `bytes.translate` leaves
       nothing once digits, spaces, tabs, CRs and LFs are deleted (which
@@ -399,9 +397,7 @@ def _integer_pairs(data: bytes):
       are exactly the printed values when the file's digit count
       equals the summed widths.
     """
-    if b"#" in data:
-        data = _blank_comments(np.frombuffer(data, dtype=np.uint8).copy())
-    value = None if data is None else _integer_values(data)
+    value = _integer_values(data)
     return None if value is None else (value[0::2], value[1::2])
 
 
@@ -434,8 +430,12 @@ def _blank_comments(buf):
 
 
 def _integer_values(text: bytes):
-    """The tokens of `text`, which holds no `#` line, as int64 in file
-    order, or None to hand off. `_integer_pairs` lists the checks."""
+    """The tokens of `text` as int64 in file order, or None to hand off.
+    `_integer_pairs` lists the checks."""
+    if b"#" in text:
+        text = _blank_comments(np.frombuffer(text, dtype=np.uint8).copy())
+        if text is None:
+            return None
     buf = np.frombuffer(text, dtype=np.uint8)
     if b"\r" in text:
         cr = np.flatnonzero(buf == 13)
@@ -481,11 +481,18 @@ def _integer_values(text: bytes):
     return value
 
 
-def text_lines(data: bytes):
+def text_lines(data: bytes, path):
     """(line number, stripped line) for each line of the UTF-8 text
-    `data` that is neither blank nor a `#` comment. It decodes `data` at
-    once, so the caller need not hold it while reading the lines."""
-    lines = data.decode("utf-8").splitlines()
+    `data` of the file `path` that is neither blank nor a `#` comment.
+    Lines end at LF, CRLF or a lone CR, as in universal-newline mode. It
+    decodes `data` at once, so the caller need not hold it while reading
+    the lines; a byte that is not UTF-8 raises KmpError with its line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lineno = data.count(b"\n", 0, err.start) + 1
+        raise KmpError(f"{path}: line {lineno}: not valid UTF-8") from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return (
         (lineno, line)
         for lineno, line in enumerate(map(str.strip, lines), start=1)
@@ -504,7 +511,7 @@ def _load_general(path: Path, data: bytes) -> Network:
     streaming reader.
     """
     pairs = []
-    for lineno, line in text_lines(data):
+    for lineno, line in text_lines(data, path):
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListError(

@@ -53,7 +53,7 @@ def load_clustering(net: Network, path) -> Clustering:
     path = Path(path)
     data = path.read_bytes()
     rows = _integer_rows(net, data) if net.integer_ids else None
-    lines = text_lines(data) if rows is None else None
+    lines = text_lines(data, path) if rows is None else None
     del data
     if rows is None:
         rows = _read_rows(net, path, lines)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .clustering import Cluster, Clustering, all_core, split_by
+from .errors import check_thresholds
 from .graph import Network, connected_components
 from .parsing import modular_components
 
@@ -95,8 +96,7 @@ def ikc(net: Network, k: int) -> Clustering:
     give, so the clusters are the same, for work near the deleted nodes
     rather than a peel of the whole residual every round.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_thresholds(k)
     indptr, indices = net.indptr, net.indices
     lab = core_labels(net).labels
     rows = np.repeat(np.arange(net.n), net.degrees)

@@ -45,7 +45,7 @@ def load_markers(net: Network, path) -> MarkerPanel:
     internal: list[int] = []
     seen = set()
     missing = []
-    for _, token in text_lines(path.read_bytes()):
+    for _, token in text_lines(path.read_bytes(), path):
         if token in seen:
             continue
         seen.add(token)

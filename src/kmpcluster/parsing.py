@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .clustering import Cluster, Clustering, all_core, disjoint_concat, split_by
-from .errors import ConfigError
+from .errors import check_thresholds
 from .graph import Network, induced_edge_count
 
 # -- modularity --------------------------------------------------------
@@ -171,6 +171,7 @@ def validate(net: Network, clustering: Clustering, k: int, p: int) -> ValidityRe
 
     A cluster with an empty core is vacuously k-valid but can never be
     m-valid; a cluster with no non-core members is vacuously p-valid.
+    k and p must be at least 1, but p may be k or more.
 
     One grouped pass serves all clusters. The subgraph of all members,
     with each member's cluster as its group, gives every member its
@@ -178,6 +179,7 @@ def validate(net: Network, clustering: Clustering, k: int, p: int) -> ValidityRe
     non-core members p. The cores' subgraph, taken from that one, gives
     each core's components and their modularity terms.
     """
+    check_thresholds(k, p)
     clusters = clustering.clusters
     nodes, part = disjoint_concat([a for c in clusters for a in (c.core, c.noncore)])
     cluster = part // 2
@@ -307,10 +309,7 @@ def kmp_parse(
     Dropped nodes never re-attach; they are reported so callers can
     account for every input node.
     """
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
-    if not 1 <= p < k:
-        raise ConfigError(f"need 1 <= p < k, got p={p} with k={k}")
+    check_thresholds(k, p, p_below_k=True)
     split = _core_split(net, [c.nodes for c in clustering.clusters], k)[0]
     cores = split.cores
     # only the members of input clusters with a derived core can attach
@@ -340,8 +339,7 @@ def extract_cores(
     components failing the modularity screen are dropped and reported.
     The input clusters must be disjoint; a node in two raises ValueError.
     """
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
+    check_thresholds(k)
     split = _core_split(net, [c.nodes for c in clustering.clusters], k)[0]
     return Clustering([all_core(c) for c in split.cores], net.n), split.dropped
 

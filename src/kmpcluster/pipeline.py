@@ -18,7 +18,7 @@ import numpy as np
 from .augment import augment
 from .bisection import BisectConfig, iterative_split, recursive_split
 from .clustering import Clustering
-from .errors import ConfigError
+from .errors import ConfigError, check_thresholds
 from .graph import Network
 from .kcore import ikc
 from .parsing import ValidityReport, kmp_parse, validate
@@ -42,12 +42,7 @@ class PipelineConfig(BisectConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.p < 1:
-            raise ConfigError(f"p must be at least 1, got {self.p}")
-        if self.p >= self.k:
-            raise ConfigError(
-                f"p must be smaller than k, got p={self.p} with k={self.k}"
-            )
+        check_thresholds(self.k, self.p, p_below_k=True)
         if self.stage2 not in STAGE2_CHOICES:
             raise ConfigError(
                 f"stage2 must be one of {', '.join(STAGE2_CHOICES)}, got {self.stage2!r}"
@@ -76,46 +71,30 @@ def run_pipeline(net: Network, cfg: PipelineConfig) -> PipelineResult:
     the way and never re-attached) and `singletons` (everything else).
     """
     timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    current = ikc(net, cfg.k)
-    stage1 = current
-    timings["stage1"] = time.perf_counter() - t0
-    log.info(
-        "stage 1: %d clusters in %.2fs", len(current), timings["stage1"]
-    )
-
     dropped: list[np.ndarray] = []
+
+    # the stage functions are this module's names, read at each call, so
+    # a wrapper put in a name's place is what runs
+    def stage(n: int, run, *args) -> Clustering:
+        """Stage n as `run(net, *args)`, timed and logged; the nodes a
+        stage returning (clustering, dropped) drops go to `dropped`."""
+        t0 = time.perf_counter()
+        out = run(net, *args)
+        took = timings[f"stage{n}"] = time.perf_counter() - t0
+        out, disc = out if isinstance(out, tuple) else (out, ())
+        if len(disc):
+            dropped.append(disc)
+        msg = "stage %d: %d clusters, %d nodes dropped, %.2fs"
+        log.info(msg, n, len(out), len(disc), took)
+        return out
+
+    stage1 = current = stage(1, ikc, cfg.k)
     if cfg.stage2 != "none":
-        t0 = time.perf_counter()
         split = recursive_split if cfg.stage2 == "recursive" else iterative_split
-        current, disc = split(net, current, cfg)
-        dropped.append(disc)
-        timings["stage2"] = time.perf_counter() - t0
-        log.info(
-            "stage 2 (%s): %d clusters, %d nodes dropped, %.2fs",
-            cfg.stage2,
-            len(current),
-            len(disc),
-            timings["stage2"],
-        )
-
+        current = stage(2, split, current, cfg)
     if cfg.stage3:
-        t0 = time.perf_counter()
-        current = augment(net, current, cfg.p)
-        timings["stage3"] = time.perf_counter() - t0
-        log.info("stage 3: %.2fs", timings["stage3"])
-
-    t0 = time.perf_counter()
-    final, disc = kmp_parse(net, current, cfg.k, cfg.p)
-    dropped.append(disc)
-    timings["stage4"] = time.perf_counter() - t0
-    log.info(
-        "stage 4: %d clusters, %d nodes dropped, %.2fs",
-        len(final),
-        len(disc),
-        timings["stage4"],
-    )
+        current = stage(3, augment, current, cfg.p)
+    final = stage(4, kmp_parse, current, cfg.k, cfg.p)
 
     validity = validate(net, final, cfg.k, cfg.p)
     if not validity.all_kmp_valid():

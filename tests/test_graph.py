@@ -10,6 +10,7 @@ import synth
 from kmpcluster import _kernels, graph
 from kmpcluster import (
     EdgeListError,
+    KmpError,
     Network,
     connected_components,
     induced_edge_count,
@@ -104,6 +105,15 @@ def test_load_malformed_line_reports_position(tmp_path):
     path = write_lines(tmp_path, "e.tsv", ["a\tb", "b\tc\td", "c\ta"])
     with pytest.raises(EdgeListError, match="line 2"):
         load_edge_list(path)
+    # lines end at LF, CRLF or a lone CR, and a form feed is whitespace
+    for data, want in [
+        (b"a\tb\n\x0c\nb\tc\nc\n", "line 4: expected 2 fields"),
+        (b"a\tb\rc\n", "line 2: expected 2 fields"),
+        (b"a\tb\r\nb\t\xffc\n", "e.tsv: line 2: not valid UTF-8"),
+    ]:
+        path.write_bytes(data)
+        with pytest.raises(KmpError, match=want):
+            load_edge_list(path)
 
 
 def test_load_single_field_line_rejected(tmp_path):
@@ -289,8 +299,9 @@ def handoff_line(draw):
 
     Leading zeros, ids too wide for int64 or wider than 18 digits, a
     field count other than two, an edge split over two lines, a lone
-    carriage return, and a comment holding a character the string path
-    reads as a line break.
+    carriage return, and a comment holding a non-ASCII character and a
+    character that `str.splitlines`, but not the string path, reads as
+    a line break.
     """
     kind = draw(
         st.sampled_from(["zero", "long", "wide", "fields", "split", "cr", "break"])

@@ -10,6 +10,7 @@ from kmpcluster import (
     Cluster,
     Clustering,
     ClusteringFileError,
+    KmpError,
     Network,
     all_core,
     ikc,
@@ -161,6 +162,9 @@ def test_malformed_rows_rejected(tmp_path):
     f.write_text("0\t0\tboss\n")
     with pytest.raises(ClusteringFileError, match="core or noncore"):
         load_clustering(net, f)
+    f.write_bytes("0\t0\n1\t0\ncaf\u00e9\t1\n".encode("latin-1"))
+    with pytest.raises(KmpError, match="c.tsv: line 3: not valid UTF-8"):
+        load_clustering(net, f)
     f.write_text("# only comments\n")
     with pytest.raises(ClusteringFileError, match="no cluster assignments"):
         load_clustering(net, f)
@@ -255,7 +259,7 @@ def test_integer_partition_path_matches_row_path(tmp_path_factory, case):
         assert io._integer_rows(net, path.read_bytes()) is not None
 
     def rows(net):
-        return io._read_rows(net, path, graph.text_lines(path.read_bytes()))
+        return io._read_rows(net, path, graph.text_lines(path.read_bytes(), path))
 
     want = _outcome(twin, lambda: io._group_rows(twin, *rows(twin)))
     assert _outcome(net, lambda: io._group_rows(net, *rows(net))) == want
@@ -389,7 +393,9 @@ def test_cli_rejects_p_not_below_k(tmp_path, capsys):
 def test_cli_config_file_and_flag_precedence(tmp_path):
     edges = write_net(tmp_path, planted_edges())
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("k=9\np = 2\nstage2=none\n# comment\n")
+    cfg.write_text(
+        "k=9\np = 2\nstage2=none\n# comment\nstage3=OFF\nlocal-search=3\n"
+    )
     out = tmp_path / "out"
     rc = main(
         ["pipeline", str(edges), "--config", str(cfg), "--k", "5",
@@ -399,6 +405,8 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     run = json.loads((out / "run.json").read_text())
     assert run["config"]["k"] == 5  # flag beat the file
     assert run["config"]["p"] == 2
+    assert run["config"]["stage3"] is False
+    assert run["config"]["local_search_iters"] == 3
 
 
 def test_cli_config_file_unknown_key(tmp_path, capsys):
@@ -411,6 +419,50 @@ def test_cli_config_file_unknown_key(tmp_path, capsys):
     )
     assert rc == 1
     assert "shiny" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("k=\n", 1),
+        ("k=5\nstage3=maybe\n", 2),
+        ("k=5\n# a comment\nlocal=3\n", 3),
+        ("k=5\nmax_rounds\n", 2),
+    ],
+)
+def test_cli_config_file_bad_line(tmp_path, capsys, text, lineno):
+    edges = write_net(tmp_path, planted_edges())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc = main(
+        ["pipeline", str(edges), "--config", str(cfg),
+         "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    assert f"run.cfg: line {lineno}: " in capsys.readouterr().err
+
+
+def test_cli_bad_pipeline_flag_exits_2(tmp_path):
+    # the values a config line may not hold, given as flags instead
+    edges = write_net(tmp_path, planted_edges())
+    for flag in (["--k", ""], ["--k", "5", "--stage3", "maybe"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", str(edges), *flag, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+
+
+def test_cli_validate_rejects_thresholds_below_1(tmp_path, capsys):
+    edges = write_net(tmp_path, planted_edges())
+    part = tmp_path / "part.tsv"
+    part.write_text("".join(f"{v}\t0\n" for v in range(7)))
+    for k, p in (("0", "-3"), ("2", "0")):
+        rc = main(
+            ["validate", str(edges), str(part), "--k", k, "--p", p,
+             "--out", str(tmp_path / "val")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "val").exists()
 
 
 def test_cli_kcore(tmp_path):

@@ -7,6 +7,7 @@ import oracles
 import synth
 from kmpcluster import (
     Clustering,
+    ConfigError,
     Network,
     _kernels,
     core_labels,
@@ -153,6 +154,8 @@ def test_ikc_nesting():
 def test_ikc_requires_positive_k():
     net = synth.net_from([(0, 1)])
     with pytest.raises(ValueError):
+        ikc(net, 0)
+    with pytest.raises(ConfigError, match="k must be at least 1"):
         ikc(net, 0)
 
 

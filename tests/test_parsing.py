@@ -160,6 +160,18 @@ def test_kmp_parse_rejects_bad_thresholds():
         kmp_parse(net, clustering, 3, 0)
 
 
+def test_validate_rejects_thresholds_below_1():
+    # p >= k stays allowed: a report can say that no cluster is valid
+    net = synth.net_from([(0, 1)])
+    clustering = Clustering([all_core([0, 1])], net.n)
+    for k, p in ((0, 1), (2, 0)):
+        with pytest.raises(ConfigError):
+            validate(net, clustering, k, p)
+        with pytest.raises(ConfigError):
+            strict_filter(net, clustering, k, p)
+    assert not validate(net, clustering, 2, 3).all_kmp_valid()
+
+
 def test_kmp_parse_all_low_degree_cluster_vanishes():
     # a cycle has no 3-core at all
     edges = synth.cycle_edges(range(8)) + synth.clique_edges(range(8, 13))
