@@ -26,10 +26,12 @@ so one call answers for many disjoint subgraphs at once, each exactly
 as if it were called alone. `local_components`, `matvec` and
 `sweep_objective` work on such a block-diagonal local CSR as it is.
 
-`extract_local_csr` gathers its rows, and `compact` (which drops the
-repeated arc keys of `Network.from_edges`) moves its entries, at most
-`_BATCH` arcs at a time, so their scratch does not grow with the graph;
-what they keep is joined or shrunk once at the end.
+`extract_local_csr` and the neighbour counts gather their rows, and
+`compact` (which drops the repeated arc keys of `Network.from_edges`)
+moves its entries, at most `_BATCH` arcs at a time (`_row_batches`), so
+their scratch does not grow with the graph. What they keep goes into
+one array, grown (`_put`) or shrunk in place, never into parts that are
+joined at the end.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ import numpy as np
 # Nothing here is compiled; the benchmark reports this as its backend.
 NUMBA = False
 
-# Arcs handled at a time by `extract_local_csr` and `compact`; it bounds
-# their scratch, not their results.
-_BATCH = 1 << 16
+# Arcs handled at a time by the batched kernels and by the in-place steps
+# of the loader; it bounds their scratch, not their results.
+_BATCH = 1 << 14
 
 
 def _gather(indptr, sub):
@@ -55,10 +57,50 @@ def _gather(indptr, sub):
     return arcs, rows
 
 
+def _row_batches(indptr, sub):
+    """`(lo, hi, arcs, rows)` for runs sub[lo:hi] of consecutive rows of
+    `sub` holding at most `_BATCH` arcs in all (a longer row is a run of
+    its own), with `_gather` of each run."""
+    # arcs up to the end of each row, to cut the rows into runs
+    end = np.cumsum(indptr[sub + 1] - indptr[sub])
+    lo = 0
+    while lo < len(sub):
+        done = int(end[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(end, done + _BATCH, "right")), lo + 1)
+        yield lo, hi, *_gather(indptr, sub[lo:hi])
+        lo = hi
+
+
+def _put(buf, at, part):
+    """Write `part` into the owned array `buf` from position `at`, and
+    return the position after it. A `buf` too short for it grows in
+    place, by at least an eighth; so it grows a few times in all, each
+    time the allocator may remap its pages rather than copy them, and
+    it never holds more than an eighth beyond what was written."""
+    end = at + len(part)
+    if end > len(buf):
+        buf.resize(max(end, len(buf) + len(buf) // 8), refcheck=False)
+    buf[at:end] = part
+    return end
+
+
+def _count_arcs(indptr, indices, sub, keep):
+    """For each node of `sub`, the count of its arcs that `keep` keeps.
+
+    The arcs go by in `_row_batches`; `keep(i, u)` gets the positions i
+    in `sub` of a batch of arcs' rows and the arcs' heads u, and returns
+    a bool per arc.
+    """
+    out = np.empty(len(sub), np.int64)
+    for lo, hi, arcs, rows in _row_batches(indptr, sub):
+        kept = keep(rows + lo, indices[arcs])
+        out[lo:hi] = np.bincount(rows[kept], minlength=hi - lo)
+    return out
+
+
 def _count_in(indptr, indices, mask, nodes):
     """Count, for each node of `nodes`, its neighbours with `mask` set."""
-    arcs, rows = _gather(indptr, nodes)
-    return np.bincount(rows[mask[indices[arcs]] != 0], minlength=len(nodes))
+    return _count_arcs(indptr, indices, nodes, lambda _, u: mask[u] != 0)
 
 
 def subset_degrees(indptr, indices, in_sub, sub):
@@ -80,19 +122,23 @@ def induced_edges(indptr, indices, in_sub, sub):
     return int(_count_in(indptr, indices, in_sub, sub).sum()) // 2
 
 
-def peel(indptr, indices, sub, group=None):
+def peel(indptr, indices, sub, group=None, k=None):
     """Core number of every node of `sub` within the induced subgraph.
 
     With `group` (one id per node of `sub`), an arc counts only when its
     ends share a group, so each group is peeled as its own subgraph, all
-    in the same waves.
+    in the same waves. With `k`, the peel starts at threshold k - 1 and
+    stops at k: each label is the core number clipped to k - 1 and k,
+    so it is k exactly on the k-core.
 
-    Frontier peeling on the local CSR. For each threshold k in turn
+    Frontier peeling on the CSR as it is: an arc that leaves `sub` or
+    its group is skipped where it is read, so no local CSR is built and
+    the scratch is n-sized, plus a batch. For each threshold t in turn
     (skipping ahead to the smallest live degree), every live node of
-    degree <= k is removed in waves: each wave lowers its live
-    neighbours' degrees, and those that fall to k or below form the
-    next wave. A node's label is the k it was removed at. Returns int64
-    labels aligned with `sub`.
+    degree <= t is removed in waves: each wave lowers its live
+    neighbours' degrees, a batch of arcs at a time (`_row_batches`), and
+    those that fall to t or below form the next wave. A node's label is
+    the t it was removed at. Returns int64 labels aligned with `sub`.
 
     A wave costs a few numpy calls plus work in proportion to the
     frontier's arcs, and there is one wave per onion layer. So a long
@@ -100,25 +146,53 @@ def peel(indptr, indices, sub, group=None):
     a 100k-node path this takes about 2.2 s on a 2-core machine, where
     a bucket-queue loop run as interpreted Python takes 0.7 to 1.0 s.
     """
-    lptr, lind = extract_local_csr(indptr, indices, sub, group)
-    deg = np.diff(lptr)
+    if group is None and np.array_equal(sub, np.arange(len(indptr) - 1)):
+        loc = None  # every arc counts, and local ids are node ids
+    else:
+        loc = np.full(len(indptr) - 1, -1, np.int64)
+        loc[sub] = np.arange(len(sub))
+
+    def local(i, u):
+        """The local ids of the heads u of arcs from the nodes sub[i], -1
+        where an arc leaves `sub` or its group."""
+        if loc is None:
+            return u
+        u = loc[u]
+        if group is not None:
+            # where u is -1, group[-1] is read, but u stays -1
+            u[group[u] != group[i]] = -1
+        return u
+
+    if loc is None:
+        deg = np.diff(indptr)
+    else:
+        deg = _count_arcs(indptr, indices, sub, lambda i, u: local(i, u) >= 0)
     labels = np.zeros(len(sub), np.int64)
     alive = np.ones(len(sub), np.bool_)
     live = np.arange(len(sub))
-    k = 0
+    t = 0 if k is None else k - 1
     while len(live):
         live_deg = deg[live]
-        k = max(k, int(live_deg.min()))
-        frontier = live[live_deg <= k]
+        t = max(t, int(live_deg.min()))
+        if k is not None and t >= k:  # what is left is the k-core
+            labels[live] = k
+            break
+        frontier = live[live_deg <= t]
         while len(frontier):
-            labels[frontier] = k
+            labels[frontier] = t
             alive[frontier] = False
-            nbr = lind[_gather(lptr, frontier)[0]]
-            nbr, cnt = np.unique(nbr[alive[nbr]], return_counts=True)
-            deg[nbr] -= cnt
-            frontier = nbr[deg[nbr] <= k]
+            fallen = []
+            for lo, _, arcs, rows in _row_batches(indptr, sub[frontier]):
+                nbr = local(frontier[rows + lo], indices[arcs])
+                nbr = nbr[nbr >= 0]
+                nbr, cnt = np.unique(nbr[alive[nbr]], return_counts=True)
+                was = deg[nbr]
+                deg[nbr] = was - cnt
+                # each node falls to t once, in whichever batch takes it there
+                fallen.append(nbr[(was > t) & (was - cnt <= t)])
+            frontier = np.concatenate(fallen)
         live = live[alive[live]]
-        k += 1
+        t += 1
     return labels
 
 
@@ -141,31 +215,37 @@ def settle(indptr, indices, lab, sup, violators, mark):
     now violate. When none does, every node has lab[v] neighbours
     labelled at least lab[v], so each label is at most the core number;
     and the h-index of upper bounds is an upper bound, so each label is
-    at least the core number too.
+    at least the core number too. A wave reads its arcs twice, in
+    `_row_batches`: for the new labels, then for what they change.
     """
     v = violators
     while len(v):
-        arcs, rows = _gather(indptr, v)
-        nbr = indices[arcs]
         old = lab[v]
-        nl = lab[nbr]
-        old_r = old[rows]
-        # h-index: sort each row's capped labels in descending order; it
-        # is the count of positions i (from 0) holding a label above i
-        span = int(old.max()) + 1
-        key = rows * span
-        cap = key - np.minimum(nl, old_r)
-        cap.sort()
-        cap = key - cap
-        rank = np.arange(len(rows)) - rows.searchsorted(rows)
-        new = np.bincount(rows[cap > rank], minlength=len(v))
-        new_r = new[rows]
-        mark[v] = True
-        hit = (new_r < nl) & (nl <= old_r) & ~mark[nbr]
-        mark[v] = False
+        new = np.empty(len(v), np.int64)
+        for lo, hi, arcs, rows in _row_batches(indptr, v):
+            # h-index: sort each row's capped labels in descending order;
+            # it is the count of positions i (from 0) holding a label above i
+            old_r = old[lo:hi][rows]
+            key = rows * (int(old_r.max()) + 1)
+            cap = key - np.minimum(lab[indices[arcs]], old_r)
+            cap.sort()
+            cap = key - cap
+            rank = np.arange(len(rows)) - rows.searchsorted(rows)
+            new[lo:hi] = np.bincount(rows[cap > rank], minlength=hi - lo)
         lab[v] = new
-        sup[v] = np.bincount(rows[lab[nbr] >= new_r], minlength=len(v))
-        u = nbr[hit]
+        # a neighbour outside the wave keeps its label, so the hits read
+        # it after the wave's labels are set, as the recount does
+        mark[v] = True
+        hits = [np.empty(0, np.int64)]
+        for lo, hi, arcs, rows in _row_batches(indptr, v):
+            nbr = indices[arcs]
+            nl = lab[nbr]
+            new_r = new[lo:hi][rows]
+            hit = (new_r < nl) & (nl <= old[lo:hi][rows]) & ~mark[nbr]
+            hits.append(nbr[hit])
+            sup[v[lo:hi]] = np.bincount(rows[nl >= new_r], minlength=hi - lo)
+        mark[v] = False
+        u = np.concatenate(hits)
         u.sort()
         np.subtract.at(sup, u, 1)
         u = u[sup[u] < lab[u]]
@@ -187,18 +267,26 @@ def local_components(lptr, lind):
     """Connected component id for each node of a local CSR.
 
     Ids are dense from 0 and ordered by smallest local id. Each round
-    takes the smallest parent across each row's arcs with one
-    `np.minimum.reduceat` over the rows that have arcs, hooks the roots
-    of the rows that found a smaller one to it, then jumps pointers
-    until every node points at a root; a component ends up pointing at
-    its smallest local id, its only root.
+    takes the smallest parent across each row's arcs with
+    `np.minimum.reduceat` over the rows that have arcs, a batch of rows
+    at a time, hooks the roots of the rows that found a smaller one to
+    it, then jumps pointers until every node points at a root; a
+    component ends up pointing at its smallest local id, its only root.
     """
     nloc = len(lptr) - 1
     row = np.flatnonzero(np.diff(lptr))
     start = lptr[row]
+    # the rows cut where their arcs pass each multiple of _BATCH, so that
+    # a round reads the parents of at most about a batch of arcs at a time
+    cut = np.searchsorted(start, np.arange(_BATCH, len(lind), _BATCH))
+    cut = [(lo, hi) for lo, hi in zip([0, *cut], [*cut, len(row)]) if lo < hi]
+    ends = np.append(start, len(lind))
     parent = np.arange(nloc)
+    low = np.empty(len(row), np.int64)
     while len(row):
-        low = np.minimum.reduceat(parent[lind], start)
+        for lo, hi in cut:
+            arcs = lind[ends[lo] : ends[hi]]
+            low[lo:hi] = np.minimum.reduceat(parent[arcs], start[lo:hi] - ends[lo])
         pr = parent[row]
         # arcs run both ways, so an arc between two trees shows as a
         # smaller parent at one of its ends
@@ -223,35 +311,28 @@ def extract_local_csr(indptr, indices, sub, group=None):
     makes the result the disjoint union of the groups' induced
     subgraphs.
 
-    The rows are gathered in batches of consecutive rows holding at
-    most `_BATCH` arcs (a longer row is a batch of its own). So beside
-    the result, the n-sized map to local ids and the running arc count
-    per row, the scratch is a few batch-sized arrays; each batch's kept
-    arcs are joined once at the end.
+    The rows are gathered in `_row_batches`. Each batch's kept arcs are
+    written into one array, which grows in place as they come (`_put`)
+    and is cut to them at the end. So beside the result, the scratch is
+    the n-sized map to local ids, the running arc count per row and a
+    few batch-sized arrays.
     """
     loc = np.full(len(indptr) - 1, -1, np.int64)
     loc[sub] = np.arange(len(sub))
-    # arcs up to the end of each row, to cut the rows into batches
-    end = np.cumsum(indptr[sub + 1] - indptr[sub])
     lptr = np.zeros(len(sub) + 1, np.int64)
-    parts = []
-    lo = 0
-    while lo < len(sub):
-        done = int(end[lo - 1]) if lo else 0
-        hi = max(int(np.searchsorted(end, done + _BATCH, "right")), lo + 1)
-        arcs, rows = _gather(indptr, sub[lo:hi])
-        lind = loc[indices[arcs]]
-        keep = lind >= 0
+    lind = np.empty(0, np.int64)
+    w = 0
+    for lo, hi, arcs, rows in _row_batches(indptr, sub):
+        local = loc[indices[arcs]]
+        keep = local >= 0
         if group is not None:
-            # where lind is -1, group[-1] is read but keep is already False
-            keep &= group[lind] == group[lo:hi][rows]
+            # where local is -1, group[-1] is read but keep is already False
+            keep &= group[local] == group[lo:hi][rows]
         lptr[lo + 1 : hi + 1] = np.bincount(rows[keep], minlength=hi - lo)
-        parts.append(lind[keep])
-        lo = hi
+        w = _put(lind, w, local[keep])
+    lind.resize(w, refcheck=False)
     np.cumsum(lptr, out=lptr)
-    if len(parts) == 1:  # one batch: nothing to join
-        return lptr, parts[0]
-    return lptr, np.concatenate([np.empty(0, np.int64), *parts])
+    return lptr, lind
 
 
 def compact(a, keep):
@@ -412,33 +493,40 @@ def _ncut(cut, i0, i1):
     return cut / l0 + cut / l1
 
 
-def best_cluster_per_node(indptr, indices, owner, min_id, cand, p):
+def best_cluster_per_node(indptr, indices, owner, min_id, cand, p, group=None):
     """Pick the attachment target for each candidate node.
 
     `owner[u]` is the cluster index of u if u is a core node, else -1.
     A candidate qualifies for cluster c when it has >= p neighbors in
     c's core; among qualifying clusters the one with the largest
     count/core size ratio wins, ties broken by smaller `min_id`, which
-    holds one id per cluster. Returns the chosen cluster index per
-    candidate (-1 when none qualifies).
+    holds one id per cluster. With `group` (one id per node), an arc
+    counts only when its ends share a group. Returns the chosen cluster
+    index per candidate (-1 when none qualifies).
 
     The (candidate, cluster) pairs are counted over the candidates' arcs
-    at once, and each candidate's pairs ranked by one lexsort. Ratios
-    are compared as floats, which is exact here: each is at most 1,
-    division is correctly rounded, and two different fractions with
-    denominators below 2**26 differ by more than 2**-52, more than
-    their rounding errors together.
+    in `_row_batches`, and the qualifying pairs of every candidate are
+    ranked by one lexsort. Ratios are compared as floats, which is exact
+    here: each is at most 1, division is correctly rounded, and two
+    different fractions with denominators below 2**26 differ by more
+    than 2**-52, more than their rounding errors together.
     """
     ncl = len(min_id)
     core_size = np.bincount(owner[owner >= 0], minlength=ncl)
     assert not ncl or core_size.max() < 2**26
-    arcs, rows = _gather(indptr, cand)
-    c = owner[indices[arcs]]
-    keep = c >= 0
-    pair, cnt = np.unique(rows[keep] * ncl + c[keep], return_counts=True)
-    keep = cnt >= p
-    row, c = np.divmod(pair[keep], ncl)
-    cnt = cnt[keep]
+    pairs, counts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for lo, hi, arcs, rows in _row_batches(indptr, cand):
+        heads = indices[arcs]
+        c = owner[heads]
+        keep = c >= 0
+        if group is not None:
+            keep &= group[heads] == group[cand[lo:hi]][rows]
+        pair, cnt = np.unique((rows[keep] + lo) * ncl + c[keep], return_counts=True)
+        keep = cnt >= p
+        pairs.append(pair[keep])
+        counts.append(cnt[keep])
+    row, c = np.divmod(np.concatenate(pairs), ncl)
+    cnt = np.concatenate(counts)
     best = np.lexsort((min_id[c], -cnt / core_size[c], row))
     row, c = row[best], c[best]
     first = np.ones(len(row), np.bool_)

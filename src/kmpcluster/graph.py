@@ -12,6 +12,7 @@ here accept any integer sequence and canonicalize it once.
 from __future__ import annotations
 
 import ctypes
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -49,7 +50,7 @@ class Network:
         self.load_report = load_report if load_report is not None else LoadReport()
 
     @classmethod
-    def from_edges(cls, u, v, n=None, ext_ids=None) -> "Network":
+    def from_edges(cls, u, v=None, n=None, ext_ids=None) -> "Network":
         """Build from endpoint arrays of internal ids.
 
         Self-loops and duplicates are dropped (and counted). `n` may be
@@ -57,44 +58,52 @@ class Network:
         past the largest endpoint. An integer array of `ext_ids` must be
         nonnegative and strictly increasing, as `load_edge_list` makes it,
         so that labels can be found by binary search.
+
+        With `v` None, `u` holds each edge's two endpoints in turn, as an
+        int64 array that owns its data; the network takes it over and
+        builds its arcs in that buffer, so that no second array of the
+        endpoints' size is made. Otherwise the endpoints are copied into
+        such an array first.
         """
         if _is_integer_array(ext_ids) and len(ext_ids):
             if ext_ids[0] < 0 or (ext_ids[1:] <= ext_ids[:-1]).any():
                 raise ValueError("integer ids must be nonnegative and increasing")
-        u = np.asarray(u, dtype=np.int64).reshape(-1)
-        v = np.asarray(v, dtype=np.int64).reshape(-1)
-        if len(u) != len(v):
-            raise ValueError("endpoint arrays differ in length")
+        if v is None:
+            ends = u
+            owned = isinstance(ends, np.ndarray) and ends.flags.owndata
+            if not (owned and ends.dtype == np.int64 and len(ends) % 2 == 0):
+                raise ValueError("endpoints must be an owned int64 array of pairs")
+        else:
+            u = np.asarray(u, dtype=np.int64).reshape(-1)
+            v = np.asarray(v, dtype=np.int64).reshape(-1)
+            if len(u) != len(v):
+                raise ValueError("endpoint arrays differ in length")
+            ends = np.empty(2 * len(u), np.int64)
+            ends[0::2] = u
+            ends[1::2] = v
         if ext_ids is not None and n is not None and n != len(ext_ids):
             raise ValueError("n disagrees with the id map")
         if ext_ids is not None:
             n = len(ext_ids)
         if n is None:
-            n = int(max(u.max(), v.max())) + 1 if len(u) else 0
-        if len(u) and (u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n):
+            n = int(ends.max()) + 1 if len(ends) else 0
+        if len(ends) and (ends.min() < 0 or ends.max() >= n):
             raise ValueError("endpoint out of range")
-        report = LoadReport()
-        # one arc key src * n + dst per direction, filled in place;
+        edges = len(ends) // 2
+        report = LoadReport(self_loops_dropped=_arc_keys(ends, n))
         # sorting the keys orders the arcs by source, then by destination
-        arcs = np.empty(2 * len(u), dtype=np.int64)
-        fwd, back = arcs[: len(u)], arcs[len(u) :]
-        np.multiply(u, n, out=fwd)
-        fwd += v
-        np.multiply(v, n, out=back)
-        back += u
-        loop = u == v
-        report.self_loops_dropped = int(np.count_nonzero(loop))
-        if report.self_loops_dropped:
-            # past every arc key, so loops sort last and are cut off
-            np.copyto(fwd, n * n, where=loop)
-            np.copyto(back, n * n, where=loop)
-        del fwd, back, loop  # no view of arcs may outlive its resize
+        arcs = ends
         arcs.sort()
         arcs.resize(len(arcs) - 2 * report.self_loops_dropped, refcheck=False)
         _kernels.compact(arcs, run_starts(arcs))
         m = len(arcs) // 2
-        report.duplicate_edges_dropped = len(u) - report.self_loops_dropped - m
-        indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
+        report.duplicate_edges_dropped = edges - report.self_loops_dropped - m
+        # row v starts at its first key of v * n or more; found in place,
+        # a batch of rows at a time
+        indptr = np.arange(n + 1, dtype=np.int64)
+        for lo in range(0, n + 1, _kernels._BATCH):
+            rows = indptr[lo : lo + _kernels._BATCH]
+            rows[...] = np.searchsorted(arcs, rows * n)
         indices = np.remainder(arcs, n, out=arcs)
         return cls(indptr, indices, m, ext_ids=ext_ids, load_report=report)
 
@@ -196,6 +205,23 @@ class Network:
         return rows[keep], self.indices[keep].astype(np.int64)
 
 
+def _arc_keys(ends, n: int) -> int:
+    """Overwrite each edge's two endpoints in `ends` with its arc keys
+    src * n + dst, one per direction, a batch at a time, and return the
+    count of self-loops. A loop's keys are n * n, past every arc key, so
+    that they sort last and can be cut off."""
+    loops = 0
+    for lo in range(0, len(ends), 2 * _kernels._BATCH):
+        pair = ends[lo : lo + 2 * _kernels._BATCH].reshape(-1, 2)
+        loop = pair[:, 0] == pair[:, 1]
+        key = pair * n
+        key += pair[:, ::-1]
+        key[loop] = n * n
+        pair[...] = key
+        loops += int(np.count_nonzero(loop))
+    return loops
+
+
 def _is_integer_array(ids) -> bool:
     return isinstance(ids, np.ndarray) and ids.dtype.kind == "i"
 
@@ -235,27 +261,26 @@ def load_edge_list(path) -> Network:
     A file whose ids are all integers written in canonical decimal form
     takes a whole-array fast path (`_integer_pairs` gives its grammar)
     and numbers the nodes in numeric id order: node i is the i-th
-    smallest id. One in-place sort of the packed keys
-    `id << b | position`, with b the bit length of the last position,
-    gives that order, and each endpoint's rank is scattered back to its
-    position. An id of 2**(62 - b) or more (near 10**18, in a large
-    file) leaves no room for b bits; such a file is numbered by
-    `np.unique`, with the same result. Every other file goes to the
-    string path, which numbers the nodes in string order and reports
-    malformed lines: any other byte, a line with other than two fields,
-    a longer id, a lone `\r`, and an id with a leading zero (so `007`
-    and `7` stay two nodes).
+    smallest id (`_relabel`). An id of 2**(62 - b) or more, b being the
+    bit length of the last endpoint's position (near 10**18, in a large
+    file), leaves no room for `_relabel`'s packed keys; such a file is
+    numbered by `np.unique`, with the same result. Every other file goes
+    to the string path, which numbers the nodes in string order and
+    reports malformed lines: any other byte, a line with other than two
+    fields, a longer id, a lone `\r`, and an id with a leading zero (so
+    `007` and `7` stay two nodes).
 
     The integer path reads the file in chunks of about `_CHUNK` bytes
     that end at a line end, and never holds it whole; the string path
     reads it whole, again. So the integer path's peak is set by the
-    int64 ids of all the endpoints, not by the text: they are gathered
-    chunk by chunk and joined once, relabelled in place beside int32
-    positions and ranks, and the CSR is built from one array of arc keys
-    that is sorted and stripped of repeats in place. At the peak, about
-    twice the network's arrays are live, plus a few chunks of scratch.
-    Once the temporaries are freed, the heap is trimmed, so that what
-    the process holds afterwards is the network and not whatever freed
+    int64 ids of all the endpoints, not by the text. They go into one
+    array, grown in place chunk by chunk, which then serves every later
+    step: it is relabelled in place and then holds the arc keys from
+    which `Network.from_edges` builds the CSR. At the peak, that array,
+    an eighth at most of slack or a bool per endpoint, the n-sized id
+    map and row pointers, and a chunk of scratch are live. Once the
+    temporaries are freed, the heap is trimmed, so that what the
+    process holds afterwards is the network and not whatever freed
     memory the allocator happened to keep.
     """
     net = _read_edge_list(Path(path))
@@ -282,7 +307,7 @@ def _read_edge_list(path: Path) -> Network:
         return _load_general(path, data)
     ext, inv = _relabel(ids)
     del ids
-    return Network.from_edges(inv[0::2], inv[1::2], ext_ids=ext)
+    return Network.from_edges(inv, ext_ids=ext)
 
 
 _CHUNK = 1 << 18  # bytes read at a time (see `_line_chunks`)
@@ -296,9 +321,11 @@ def _read_integers(path: Path):
     `_integer_values` alone. That is the same as one pass over the whole
     file: every check is per line or per token, a chunk starts a line,
     and only the last chunk can end without an LF, so no CR/LF pair and
-    no token is cut.
+    no token is cut. Each chunk's values are written into one array that
+    grows in place (`_kernels._put`).
     """
-    parts = []
+    ids = np.empty(0, np.int64)
+    count = 0
     blank = True
     with open(path, "rb") as f:
         for chunk in _line_chunks(f):
@@ -306,12 +333,12 @@ def _read_integers(path: Path):
             value = _integer_values(chunk)
             if value is None:
                 return None
-            parts.append(value)
+            count = _kernels._put(ids, count, value)
     if blank:
         raise EdgeListError(f"{path}: empty edge list")
-    ids = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    if not len(ids):
+    if not count:
         raise EdgeListError(f"{path}: no edges found")
+    ids.resize(count, refcheck=False)
     return ids
 
 
@@ -336,32 +363,47 @@ def _line_chunks(f):
 
 def _relabel(ids):
     """`np.unique(ids, return_inverse=True)` for nonempty, nonnegative
-    int64 `ids`, from one sort of packed keys (see `load_edge_list`).
-    Overwrites `ids` and returns it as the inverse. Positions and ranks
-    are kept in int32 when they fit."""
+    int64 `ids`, each array owning its data. Overwrites `ids` and
+    returns it as the inverse.
+
+    With b the bit length of the last position, one in-place sort of
+    the keys `id << b | position` puts the ids in order, each with its
+    position. Each is then rewritten in place as `position << c | rank`,
+    with c the bit length of the last rank, and a second sort puts the
+    ranks back in position order. Beside `ids`, that takes a bool per
+    endpoint, the distinct ids and a batch of scratch.
+    """
     b = (len(ids) - 1).bit_length()
-    if int(ids.max()) >= 1 << (62 - b):
-        return np.unique(ids, return_inverse=True)
-    index = np.int32 if b < 32 else np.int64
+    if b > 31 or int(ids.max()) >= 1 << (62 - b):
+        ext, inv = np.unique(ids, return_inverse=True)
+        return ext, inv.astype(np.int64)  # a copy, which owns its data
+    step = _kernels._BATCH
     key = ids
-    key <<= b
-    key |= np.arange(len(key), dtype=index)
+    for lo in range(0, len(key), step):
+        part = key[lo : lo + step]
+        part <<= b
+        part |= np.arange(lo, lo + len(part))
     key.sort()
-    pos = np.empty(len(key), dtype=index)
-    np.bitwise_and(key, (1 << b) - 1, out=pos, casting="unsafe")
-    key >>= b
-    first = run_starts(key)
+    # each id unlike the one before it starts a run of one id
+    first = np.ones(len(key), np.bool_)
+    for lo in range(1, len(key), step):
+        hi = min(lo + step, len(key))
+        np.not_equal(key[lo:hi] >> b, key[lo - 1 : hi - 1] >> b, out=first[lo:hi])
     ext = key[first]
-    # counted in place: a cumsum of the bools would cast them in a copy
-    rank = np.empty(len(key), dtype=index)
-    rank[...] = first
-    del first
-    np.cumsum(rank, out=rank)
-    rank -= 1
-    # the keys are spent, so their array takes the inverse
-    inv = key
-    inv[pos] = rank
-    return ext, inv
+    ext >>= b
+    c = (len(ext) - 1).bit_length()
+    rank = -1
+    for lo in range(0, len(key), step):
+        part = key[lo : lo + step]
+        ranks = np.cumsum(first[lo : lo + step]) + rank
+        rank = int(ranks[-1])
+        part &= (1 << b) - 1
+        part <<= c
+        part |= ranks
+    del first, part
+    key.sort()
+    key &= (1 << c) - 1
+    return ext, key
 
 
 _MAX_DIGITS = 18  # every 18-digit decimal fits in an int64
@@ -484,9 +526,10 @@ def _integer_values(text: bytes):
 def text_lines(data: bytes, path):
     """(line number, stripped line) for each line of the UTF-8 text
     `data` of the file `path` that is neither blank nor a `#` comment.
-    Lines end at LF, CRLF or a lone CR, as in universal-newline mode. It
-    decodes `data` at once, so the caller need not hold it while reading
-    the lines; a byte that is not UTF-8 raises KmpError with its line."""
+    Lines end at LF, CRLF or a lone CR, as in universal-newline mode,
+    and are stripped of ASCII whitespace only (`_SPACE`). It decodes
+    `data` at once, so the caller need not hold it while reading the
+    lines; a byte that is not UTF-8 raises KmpError with its line."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -495,9 +538,20 @@ def text_lines(data: bytes, path):
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return (
         (lineno, line)
-        for lineno, line in enumerate(map(str.strip, lines), start=1)
+        for lineno, line in enumerate((s.strip(_SPACE) for s in lines), start=1)
         if line and not line.startswith("#")
     )
+
+
+# the ASCII whitespace within a line: an id may hold any other character,
+# such as a no-break space, which `str.split` would cut it at
+_SPACE = " \t\v\f"
+_FIELD_BREAK = re.compile(f"[{_SPACE}]+")
+
+
+def fields(line: str) -> list[str]:
+    """The fields of a line from `text_lines`, cut at ASCII whitespace."""
+    return _FIELD_BREAK.split(line)
 
 
 def _load_general(path: Path, data: bytes) -> Network:
@@ -512,7 +566,7 @@ def _load_general(path: Path, data: bytes) -> Network:
     """
     pairs = []
     for lineno, line in text_lines(data, path):
-        parts = line.split()
+        parts = fields(line)
         if len(parts) != 2:
             raise EdgeListError(
                 f"{path}: line {lineno}: expected 2 fields, got {len(parts)}"
@@ -535,7 +589,7 @@ def write_edge_list(net: Network, path) -> None:
             f.write("".join([f"{x}\t{y}\n" for x, y in zip(a, b)]))
 
 
-_ROWS = 1 << 16  # rows a writer formats at a time
+_ROWS = 1 << 12  # rows a writer formats at a time
 
 
 def label_batches(net: Network, nodes):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .clustering import Cluster, Clustering, split_by
 from .errors import ClusteringFileError, unknown_ids
-from .graph import Network, _integer_pairs, label_batches, text_lines
+from .graph import Network, _integer_pairs, fields, label_batches, text_lines
 
 
 def write_clustering(net: Network, clustering: Clustering, path) -> None:
@@ -98,7 +98,7 @@ def _read_rows(net: Network, path: Path, lines):
     keys: list[str] = []
     noncore: list[bool] = []
     for lineno, line in lines:
-        parts = line.split("\t") if "\t" in line else line.split()
+        parts = line.split("\t") if "\t" in line else fields(line)
         if len(parts) == 2:
             node, cid = parts
             role = "core"

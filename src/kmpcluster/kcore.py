@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .clustering import Cluster, Clustering, all_core, split_by
+from .clustering import Cluster, Clustering, all_core, split_by, union_ids
 from .errors import check_thresholds
 from .graph import Network, connected_components
 from .parsing import modular_components
@@ -71,9 +71,9 @@ def kcore_clusters(net: Network, k: int) -> Clustering:
     if k == 0:
         log.warning("k=0 requested; using k=1 instead")
         k = 1
-    lab = core_labels(net)
-    members = lab.at_least(k)
-    comps = connected_components(net, members)
+    # only the k-core is read, so the peel stops at k
+    labels = _kernels.peel(net.indptr, net.indices, net.all_nodes(), k=k)
+    comps = connected_components(net, np.flatnonzero(labels >= k))
     return Clustering([all_core(c) for c in comps], net.n)
 
 
@@ -99,9 +99,9 @@ def ikc(net: Network, k: int) -> Clustering:
     check_thresholds(k)
     indptr, indices = net.indptr, net.indices
     lab = core_labels(net).labels
-    rows = np.repeat(np.arange(net.n), net.degrees)
-    sup = np.bincount(rows[lab[indices] >= lab[rows]], minlength=net.n)
-    del rows
+    sup = _kernels._count_arcs(
+        indptr, indices, net.all_nodes(), lambda v, u: lab[u] >= lab[v]
+    )
     mark = np.zeros(net.n, np.bool_)
     kept: list[Cluster] = []
     while (top := int(lab.max(initial=0))) >= k:
@@ -110,10 +110,15 @@ def ikc(net: Network, k: int) -> Clustering:
         comps = split_by(comp, members, len(positive))
         kept.extend(all_core(c) for c, ok in zip(comps, positive) if ok)
         # every live neighbour had a label of at most top: each loses
-        # one support per arc into the deleted core
+        # one support per arc into the deleted core, a batch of arcs at a
+        # time; supports only fall, so a node that violates after its
+        # last batch violates at the end
         lab[members] = 0
-        nbr = indices[_kernels._gather(indptr, members)[0]]
-        nbr, cnt = np.unique(nbr[lab[nbr] > 0], return_counts=True)
-        sup[nbr] -= cnt
-        _kernels.settle(indptr, indices, lab, sup, nbr[sup[nbr] < lab[nbr]], mark)
+        violators = []
+        for _, _, arcs, _ in _kernels._row_batches(indptr, members):
+            nbr = indices[arcs]
+            nbr, cnt = np.unique(nbr[lab[nbr] > 0], return_counts=True)
+            sup[nbr] -= cnt
+            violators.append(nbr[sup[nbr] < lab[nbr]])
+        _kernels.settle(indptr, indices, lab, sup, union_ids(violators), mark)
     return Clustering(kept, net.n)

@@ -173,20 +173,33 @@ def validate(net: Network, clustering: Clustering, k: int, p: int) -> ValidityRe
     m-valid; a cluster with no non-core members is vacuously p-valid.
     k and p must be at least 1, but p may be k or more.
 
-    One grouped pass serves all clusters. The subgraph of all members,
-    with each member's cluster as its group, gives every member its
-    count of core neighbours in its own cluster: core members need k,
-    non-core members p. The cores' subgraph, taken from that one, gives
-    each core's components and their modularity terms.
+    One grouped pass serves all clusters, reading each member's arcs in
+    the network once. The cores' subgraph, with each core's cluster as
+    its group, gives each core member its count of core neighbours in
+    its own cluster (which must reach k), and each core's components
+    and their modularity terms. A count over the non-core members'
+    arcs, a batch at a time, gives each of them the same count (which
+    must reach p).
     """
     check_thresholds(k, p)
     clusters = clustering.clusters
     nodes, part = disjoint_concat([a for c in clusters for a in (c.core, c.noncore)])
     cluster = part // 2
     is_core = part % 2 == 0
-    lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, nodes, cluster)
-    rows = np.repeat(np.arange(len(nodes)), np.diff(lptr))
-    hits = np.bincount(rows[is_core[lind]], minlength=len(nodes))
+    core = np.flatnonzero(is_core)
+    rim = np.flatnonzero(~is_core)
+    cptr, cind = _kernels.extract_local_csr(
+        net.indptr, net.indices, nodes[core], cluster[core]
+    )
+    hits = np.empty(len(nodes), np.int64)
+    hits[core] = np.diff(cptr)
+    owner = np.full(net.n, -1, np.int64)
+    owner[nodes[core]] = cluster[core]
+    rim_cluster = cluster[rim]
+    hits[rim] = _kernels._count_arcs(
+        net.indptr, net.indices, nodes[rim], lambda i, u: owner[u] == rim_cluster[i]
+    )
+    del owner
 
     def per_cluster(mask):
         return np.bincount(cluster[mask], minlength=len(clusters))
@@ -196,8 +209,6 @@ def validate(net: Network, clustering: Clustering, k: int, p: int) -> ValidityRe
     p_valid = (per_cluster(~is_core & (hits < p)) == 0) & (
         (core_size > 0) | (per_cluster(~is_core) == 0)
     )
-    core = np.flatnonzero(is_core)
-    cptr, cind = _kernels.extract_local_csr(lptr, lind, core)
     comp, positive = _screened_components(net, cptr, cind, nodes[core])
     comp_cluster = np.zeros(len(positive), np.int64)
     comp_cluster[comp] = cluster[is_core]
@@ -265,7 +276,7 @@ def _core_split(
     if graph is None:
         graph = Subgraph(net.indptr, net.indices)
     local, part = disjoint_concat(parts)
-    labels = _kernels.peel(graph.indptr, graph.indices, local, part)
+    labels = _kernels.peel(graph.indptr, graph.indices, local, part, k)
     keep = np.flatnonzero(labels >= k)
     lptr, lind = _kernels.extract_local_csr(
         graph.indptr, graph.indices, local[keep], part[keep]
@@ -300,10 +311,10 @@ def kmp_parse(
     member id). Unattached bin members become unclustered.
 
     All input clusters go through one `_core_split`, and the bin members
-    pick their cores in one pass over the grouped subgraph of the input
-    clusters that have a derived core, where a bin member sees only its
-    own cluster's cores. The input clusters must be disjoint; a node in
-    two raises ValueError.
+    pick their cores in one pass over their arcs in the network, with
+    each node's input cluster as its group, so that a bin member sees
+    only its own cluster's cores. The input clusters must be disjoint; a
+    node in two raises ValueError.
 
     Returns the new clustering plus the nodes of dropped components.
     Dropped nodes never re-attach; they are reported so callers can
@@ -314,17 +325,16 @@ def kmp_parse(
     cores = split.cores
     # only the members of input clusters with a derived core can attach
     has_core = np.bincount(split.part[split.owner >= 0], minlength=len(clustering))
-    live = has_core[split.part] > 0
-    nodes = split.nodes[live]
-    lptr, lind = _kernels.extract_local_csr(
-        net.indptr, net.indices, nodes, split.part[live]
-    )
+    cand = split.nodes[split.binned & (has_core[split.part] > 0)]
+    owner = np.full(net.n, -1, np.int64)
+    owner[split.nodes] = split.owner
+    part = np.full(net.n, -1, np.int64)
+    part[split.nodes] = split.part
     min_id = np.fromiter((c[0] for c in cores), np.int64, len(cores))
-    cand = np.flatnonzero(split.binned[live])
     choice = _kernels.best_cluster_per_node(
-        lptr, lind, split.owner[live], min_id, cand, p
+        net.indptr, net.indices, owner, min_id, cand, p, part
     )
-    noncore = split_by(choice, nodes[cand], len(cores))
+    noncore = split_by(choice, cand, len(cores))
     out = [Cluster(core=c, noncore=x) for c, x in zip(cores, noncore)]
     return Clustering(out, net.n), split.dropped
 

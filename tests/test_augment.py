@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 import synth
-from kmpcluster import Clustering, ConfigError, all_core, augment
+from kmpcluster import Clustering, ConfigError, _kernels, all_core, augment
 
 
 def build(net, cores):
@@ -136,6 +136,9 @@ def test_matches_scan_oracle_on_thousands_of_clusters():
     assert len(core_sets) == 2000
     want = oracles.assign_by_scan(net, core_sets, candidates, 2)
     assert want and membership(result) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BATCH", 7)  # the candidates' arcs a few at a time
+        assert membership(augment(net, build(net, cores), p=2)) == want
 
 
 def test_added_nodes_are_p_valid():

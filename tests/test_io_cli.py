@@ -170,6 +170,18 @@ def test_malformed_rows_rejected(tmp_path):
         load_clustering(net, f)
 
 
+def test_clustering_ids_split_only_at_ascii_whitespace(tmp_path):
+    # a row without a tab is split at ASCII whitespace, and a no-break
+    # space (U+00A0) stays inside the id
+    net = Network.from_edges([0], [1], ext_ids=["b", "caf\u00e9\u00a0e"])
+    f = tmp_path / "c.tsv"
+    f.write_text("caf\u00e9\u00a0e 7\nb 7 noncore\n", encoding="utf-8")
+    clustering = load_clustering(net, f)
+    assert [(c.core.tolist(), c.noncore.tolist()) for c in clustering.clusters] == [
+        ([1], [0])
+    ]
+
+
 @st.composite
 def integer_partition(draw):
     """A small integer-id network, a twin that resolves the same labels

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,25 @@ def test_ikc_above_degeneracy_empty():
     assert len(ikc(net, 100)) == 0
 
 
+def test_ikc_peel_and_support_count_stay_within_n_sized_scratch(monkeypatch):
+    # above the degeneracy, ikc is the whole-network peel and the first
+    # support count: both read the network's CSR as it is, so beside a
+    # few batches only n-sized arrays are live; with a local copy of the
+    # CSR and arc-sized support arrays it took 4.1 times this bound
+    rng = np.random.default_rng(9)
+    n = 20_000
+    net = Network.from_edges(*rng.integers(0, n, (2, 120_000)), n=n)
+    k = degeneracy(net) + 1
+    monkeypatch.setattr(_kernels, "_BATCH", 1 << 11)
+    tracemalloc.start()
+    try:
+        assert len(ikc(net, k)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (8 * n) + 16 * 8 * _kernels._BATCH
+
+
 def test_ikc_peels_layers():
     # a 10-clique and a separate 6-clique, bridged to a big sparse rim:
     # top core (the 10-clique) comes out first, then the 6-clique
@@ -192,9 +213,12 @@ def carved_network(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(net=carved_network(), k=st.integers(1, 6))
-def test_ikc_matches_full_repeel_oracle(net, k):
-    got = ikc(net, k)
+@given(net=carved_network(), k=st.integers(1, 6), batch=st.sampled_from([1, 3, None]))
+def test_ikc_matches_full_repeel_oracle(net, k, batch):
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:  # arcs read this many at a time
+            mp.setattr(_kernels, "_BATCH", batch)
+        got = ikc(net, k)
     want = oracles.ikc(net, k)
     assert [c.core.tolist() for c in got] == [c.core.tolist() for c in want]
 
@@ -214,10 +238,11 @@ def supports(adj, lab, v) -> int:
 
 
 @settings(max_examples=100, deadline=None)
-@given(net=carved_network(), data=st.data())
-def test_settle_keeps_core_numbers_over_deletions(net, data):
+@given(net=carved_network(), data=st.data(), batch=st.sampled_from([1, 3, None]))
+def test_settle_keeps_core_numbers_over_deletions(net, data, batch):
     """After each deletion, settling gives the residual's core numbers
-    and the exact supports of every labelled node."""
+    and the exact supports of every labelled node, whatever the number
+    of arcs a wave reads at a time."""
     adj = oracles.adjacency(net)
     lab = core_labels(net).labels.copy()
     sup = np.array([supports(adj, lab, v) for v in range(net.n)], np.int64)
@@ -238,10 +263,11 @@ def test_settle_keeps_core_numbers_over_deletions(net, data):
             for u in adj[d]:
                 if 0 < lab[u] <= old[d]:
                     sup[u] -= 1
-        violators = sorted(u for u in alive if sup[u] < lab[u])
-        _kernels.settle(
-            net.indptr, net.indices, lab, sup, np.array(violators, np.int64), mark
-        )
+        violators = np.array(sorted(u for u in alive if sup[u] < lab[u]), np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            if batch is not None:
+                mp.setattr(_kernels, "_BATCH", batch)
+            _kernels.settle(net.indptr, net.indices, lab, sup, violators, mark)
         want = oracles.core_labels_by_deletion(adj, alive)
         assert lab.tolist() == [want.get(v, 0) for v in range(net.n)]
         for v in alive:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -88,26 +89,59 @@ def test_validate_empty_core_never_kmp_valid():
 
 
 def test_validate_gathers_from_the_network_once(monkeypatch):
-    # the cores' subgraph is taken from the members' subgraph, which
-    # already drops the arcs between clusters
-    real = _kernels.extract_local_csr
-    whole = []
+    # each member's row of the network is gathered exactly once: a core
+    # member's for the cores' subgraph, a non-core member's for its count
+    real = _kernels._gather
+    rows = []
 
-    def counting(indptr, *args):
-        whole.append(indptr is net.indptr)
-        return real(indptr, *args)
+    def recording(indptr, sub):
+        rows.append((indptr is net.indptr, sub.tolist()))
+        return real(indptr, sub)
 
-    monkeypatch.setattr(_kernels, "extract_local_csr", counting)
+    monkeypatch.setattr(_kernels, "_gather", recording)
     for seed in range(3):
         net, cores, periphery = synth.planted_instance(seed)
         clusters = [
             Cluster(core=core, noncore=[x for x, c in periphery.items() if c == i])
             for i, core in enumerate(cores)
         ]
-        whole.clear()
+        rows.clear()
         report = validate(net, Clustering(clusters, net.n), 5, 2)
         assert report.all_kmp_valid()
-        assert whole == [True, False]
+        assert all(whole for whole, _ in rows)
+        members = [v for c in clusters for v in c.nodes.tolist()]
+        assert sorted(v for _, sub in rows for v in sub) == sorted(members)
+
+
+def test_validate_peak_memory_is_bounded_by_the_cores_subgraph(monkeypatch):
+    # 400 planted clusters of 50 nodes, 70 % of them core: beside the
+    # cores' subgraph, which its component pass needs, validate holds
+    # n-sized arrays and a few batches; building the members' subgraph
+    # took 2.1 times this bound
+    rng = np.random.default_rng(9)
+    n, size = 20_000, 50
+    block = np.arange(n) // size
+    inside = rng.integers(0, n // size, 160_000) * size
+    u, v = (inside + rng.integers(0, size, (2, 160_000))).tolist()
+    a, b = rng.integers(0, n, (2, 20_000)).tolist()
+    net = Network.from_edges(u + a, v + b, n=n)
+    core = rng.random(n) < 0.7
+    clusters = [
+        Cluster(core=np.flatnonzero(here & core), noncore=np.flatnonzero(here & ~core))
+        for here in (block == c for c in range(n // size))
+    ]
+    monkeypatch.setattr(_kernels, "_BATCH", 1 << 11)
+    tracemalloc.start()
+    try:
+        validate(net, Clustering(clusters, n), 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    owner = np.where(core, block, -1)
+    rows = np.repeat(np.arange(n), np.diff(net.indptr))
+    core_arcs = int(((owner[rows] >= 0) & (owner[rows] == owner[net.indices])).sum())
+    cores_subgraph = 8 * core_arcs * 9 // 8  # grown by at most an eighth
+    assert peak <= cores_subgraph + 16 * (8 * n) + 16 * 8 * _kernels._BATCH
 
 
 def test_kmp_parse_pendant_demotion():
@@ -306,12 +340,15 @@ def clustered_network(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=clustered_network())
-def test_grouped_parse_equals_union_of_one_cluster_parses(case):
+@given(case=clustered_network(), batch=st.sampled_from([1, 3, None]))
+def test_grouped_parse_equals_union_of_one_cluster_parses(case, batch):
     net, clustering, k, p = case
     alone = [Clustering([c], net.n) for c in clustering.clusters]
     for parse, args in ((kmp_parse, (k, p)), (extract_cores, (k,))):
-        out, dropped = parse(net, clustering, *args)
+        with pytest.MonkeyPatch.context() as mp:
+            if batch is not None:  # arcs read this many at a time
+                mp.setattr(_kernels, "_BATCH", batch)
+            out, dropped = parse(net, clustering, *args)
         singles = [parse(net, c, *args) for c in alone]
         union = Clustering([c for s, _ in singles for c in s.clusters], net.n)
         assert out.same_clusters(union)
@@ -319,11 +356,14 @@ def test_grouped_parse_equals_union_of_one_cluster_parses(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=clustered_network())
-def test_validate_matches_oracle_on_many_clusters(case):
+@given(case=clustered_network(), batch=st.sampled_from([1, 3, None]))
+def test_validate_matches_oracle_on_many_clusters(case, batch):
     net, clustering, k, p = case
     for checked in (clustering, kmp_parse(net, clustering, k, p)[0]):
-        report = validate(net, checked, k, p)
+        with pytest.MonkeyPatch.context() as mp:
+            if batch is not None:  # arcs read this many at a time
+                mp.setattr(_kernels, "_BATCH", batch)
+            report = validate(net, checked, k, p)
         assert len(report.clusters) == len(checked)
         for c, cv in zip(checked.clusters, report.clusters):
             assert (cv.size, cv.core_size) == (c.size, len(c.core))
