@@ -9,22 +9,22 @@ them: the neighbour counts `subset_degrees`, `induced_edges` and
 `count_neighbors_in` (which no module here calls; the benchmark's
 tracer still wraps it by name), `cut_counts`, `extract_local_csr`,
 `compact`, `matvec`, `peel`, `settle` (which keeps core numbers exact
-as nodes are deleted), `component_labels` (with `local_components`,
-its step on a local CSR), `sweep_objective` and
-`best_cluster_per_node`. The one exception is `refine_split`, whose
-steps depend on the steps before it: it runs as ordinary Python over
-lists, one step per node a pass, and keeps each node's count of
-neighbours on side 0 up to date instead of rescanning its arcs. It
-counts its starting cut and internal edges from those counts, and one
-cap bounds both its passes and its moves.
+as nodes are deleted), `component_labels` (on a local CSR),
+`sweep_objective` and `best_cluster_per_node`. The one exception is
+`refine_split`, whose steps depend on the steps before it: it runs as
+ordinary Python over lists, one step per node a pass, and keeps each
+node's count of neighbours on side 0 up to date instead of rescanning
+its arcs. It counts its starting cut and internal edges from those
+counts, and one cap bounds both its passes and its moves.
 
 A kernel takes nothing it can derive from its other arguments: the
 node count is `len(indptr) - 1`, and core sizes come from `owner`.
 `extract_local_csr` and `peel` take an optional `group` array after
 `sub`, one id per node of `sub`. Arcs between groups are then ignored,
 so one call answers for many disjoint subgraphs at once, each exactly
-as if it were called alone. `local_components`, `matvec` and
-`sweep_objective` work on such a block-diagonal local CSR as it is.
+as if it were called alone; `_local` states that rule for both.
+`component_labels`, `matvec` and `sweep_objective` work on such a
+block-diagonal local CSR as it is.
 
 `extract_local_csr` and the neighbour counts gather their rows, and
 `compact` (which drops the repeated arc keys of `Network.from_edges`)
@@ -37,6 +37,8 @@ joined at the end.
 from __future__ import annotations
 
 import numpy as np
+
+from .clustering import run_starts
 
 # Nothing here is compiled; the benchmark reports this as its backend.
 NUMBA = False
@@ -98,6 +100,23 @@ def _count_arcs(indptr, indices, sub, keep):
     return out
 
 
+def _local(n, sub, group=None):
+    """`local(i, u)`: for the heads u of arcs from the nodes sub[i], each
+    head's position in `sub` (an n-sized map), or -1 where the arc leaves
+    `sub` or, with `group` (one id per node of `sub`), its group."""
+    loc = np.full(n, -1, np.int64)
+    loc[sub] = np.arange(len(sub))
+
+    def local(i, u):
+        u = loc[u]
+        if group is not None:
+            # where u is -1, group[-1] is read, but u stays -1
+            u[group[u] != group[i]] = -1
+        return u
+
+    return local
+
+
 def _count_in(indptr, indices, mask, nodes):
     """Count, for each node of `nodes`, its neighbours with `mask` set."""
     return _count_arcs(indptr, indices, nodes, lambda _, u: mask[u] != 0)
@@ -147,25 +166,9 @@ def peel(indptr, indices, sub, group=None, k=None):
     a bucket-queue loop run as interpreted Python takes 0.7 to 1.0 s.
     """
     if group is None and np.array_equal(sub, np.arange(len(indptr) - 1)):
-        loc = None  # every arc counts, and local ids are node ids
+        deg, local = np.diff(indptr), None  # every arc counts, at its node id
     else:
-        loc = np.full(len(indptr) - 1, -1, np.int64)
-        loc[sub] = np.arange(len(sub))
-
-    def local(i, u):
-        """The local ids of the heads u of arcs from the nodes sub[i], -1
-        where an arc leaves `sub` or its group."""
-        if loc is None:
-            return u
-        u = loc[u]
-        if group is not None:
-            # where u is -1, group[-1] is read, but u stays -1
-            u[group[u] != group[i]] = -1
-        return u
-
-    if loc is None:
-        deg = np.diff(indptr)
-    else:
+        local = _local(len(indptr) - 1, sub, group)
         deg = _count_arcs(indptr, indices, sub, lambda i, u: local(i, u) >= 0)
     labels = np.zeros(len(sub), np.int64)
     alive = np.ones(len(sub), np.bool_)
@@ -183,8 +186,10 @@ def peel(indptr, indices, sub, group=None, k=None):
             alive[frontier] = False
             fallen = []
             for lo, _, arcs, rows in _row_batches(indptr, sub[frontier]):
-                nbr = local(frontier[rows + lo], indices[arcs])
-                nbr = nbr[nbr >= 0]
+                nbr = indices[arcs]
+                if local is not None:
+                    nbr = local(frontier[rows + lo], nbr)
+                    nbr = nbr[nbr >= 0]
                 nbr, cnt = np.unique(nbr[alive[nbr]], return_counts=True)
                 was = deg[nbr]
                 deg[nbr] = was - cnt
@@ -249,21 +254,10 @@ def settle(indptr, indices, lab, sup, violators, mark):
         u.sort()
         np.subtract.at(sup, u, 1)
         u = u[sup[u] < lab[u]]
-        once = np.ones(len(u), np.bool_)
-        np.not_equal(u[1:], u[:-1], out=once[1:])
-        v = np.concatenate((v[sup[v] < new], u[once]))
+        v = np.concatenate((v[sup[v] < new], u[run_starts(u)]))
 
 
-def component_labels(indptr, indices, sub):
-    """Connected component id for each node of `sub` (induced subgraph).
-
-    Ids are dense from 0 and ordered by each component's first position
-    in `sub`, which is its smallest member when `sub` is sorted.
-    """
-    return local_components(*extract_local_csr(indptr, indices, sub))
-
-
-def local_components(lptr, lind):
+def component_labels(lptr, lind):
     """Connected component id for each node of a local CSR.
 
     Ids are dense from 0 and ordered by smallest local id. Each round
@@ -314,22 +308,18 @@ def extract_local_csr(indptr, indices, sub, group=None):
     The rows are gathered in `_row_batches`. Each batch's kept arcs are
     written into one array, which grows in place as they come (`_put`)
     and is cut to them at the end. So beside the result, the scratch is
-    the n-sized map to local ids, the running arc count per row and a
-    few batch-sized arrays.
+    the n-sized map to local ids (`_local`), the running arc count per
+    row and a few batch-sized arrays.
     """
-    loc = np.full(len(indptr) - 1, -1, np.int64)
-    loc[sub] = np.arange(len(sub))
+    local = _local(len(indptr) - 1, sub, group)
     lptr = np.zeros(len(sub) + 1, np.int64)
     lind = np.empty(0, np.int64)
     w = 0
     for lo, hi, arcs, rows in _row_batches(indptr, sub):
-        local = loc[indices[arcs]]
-        keep = local >= 0
-        if group is not None:
-            # where local is -1, group[-1] is read but keep is already False
-            keep &= group[local] == group[lo:hi][rows]
+        heads = local(rows + lo, indices[arcs])
+        keep = heads >= 0
         lptr[lo + 1 : hi + 1] = np.bincount(rows[keep], minlength=hi - lo)
-        w = _put(lind, w, local[keep])
+        w = _put(lind, w, heads[keep])
     lind.resize(w, refcheck=False)
     np.cumsum(lptr, out=lptr)
     return lptr, lind
@@ -450,29 +440,21 @@ def refine_split(lptr, lind, side, iters):
             sv = sides[v]
             if (n0 if sv == 0 else n1) <= 1:
                 continue
+            # step +1 moves v to side 0, -1 to side 1
             a = zeros[v]
             b = deg[v] - a
-            if sv == 0:
-                ncut = cut - b + a
-                ni0 = i0 - a
-                ni1 = i1 + b
-            else:
-                ncut = cut - a + b
-                ni0 = i0 + a
-                ni1 = i1 - b
+            step = 1 if sv else -1
+            ncut = cut + step * (b - a)
+            ni0 = i0 + step * a
+            ni1 = i1 - step * b
             new = _ncut(ncut, ni0, ni1)
             if new < old:
                 sides[v] = 1 - sv
-                step = 1 if sv else -1
                 for u in nbr[ptr[v] : ptr[v + 1]]:
                     zeros[u] += step
                 cut, i0, i1, old = ncut, ni0, ni1, new
-                if sv == 0:
-                    n0 -= 1
-                    n1 += 1
-                else:
-                    n0 += 1
-                    n1 -= 1
+                n0 += step
+                n1 -= step
                 moved = True
                 moves += 1
                 if moves >= iters:
@@ -529,8 +511,7 @@ def best_cluster_per_node(indptr, indices, owner, min_id, cand, p, group=None):
     cnt = np.concatenate(counts)
     best = np.lexsort((min_id[c], -cnt / core_size[c], row))
     row, c = row[best], c[best]
-    first = np.ones(len(row), np.bool_)
-    np.not_equal(row[1:], row[:-1], out=first[1:])
+    first = run_starts(row)
     out = np.full(len(cand), -1, np.int64)
     out[row[first]] = c[first]
     return out

@@ -321,10 +321,13 @@ def _qualifying(net: Network, parts, k: int) -> np.ndarray:
     nonempty, k-valid as an all-core cluster, and with positive
     modularity. One grouped pass screens all the disjoint `parts`."""
     nodes, part = disjoint_concat(parts)
-    lptr, _ = _kernels.extract_local_csr(net.indptr, net.indices, nodes, part)
+    local = _kernels._local(net.n, nodes, part)
+    deg = _kernels._count_arcs(  # each node's degree inside its part
+        net.indptr, net.indices, nodes, lambda i, u: local(i, u) >= 0
+    )
     size = np.bincount(part, minlength=len(parts))
-    weak = np.bincount(part[np.diff(lptr) < k], minlength=len(parts))
-    positive = _positive_groups(net, lptr, nodes, part, len(parts))
+    weak = np.bincount(part[deg < k], minlength=len(parts))
+    positive = _positive_groups(net, deg, nodes, part, len(parts))
     return (size > 0) & (weak == 0) & positive
 
 
@@ -390,7 +393,7 @@ def iterative_split(
     One batch bisects all clusters of a round, and one grouped
     `_core_split` extracts all their parts. Only the first round's batch
     gathers its local graph from the network; each later round works on
-    the subgraph of the nodes the round before kept, in its local ids.
+    the subgraph the round before bisected, in its local ids.
     A cluster none of whose parts yields an advancing component is
     finalized as it stands. After cfg.max_rounds rounds whatever is
     still active is finalized too (advancing clusters are always k-valid
@@ -403,9 +406,10 @@ def iterative_split(
     dead: list[np.ndarray] = []
     active = [c.nodes for c in clustering.clusters if c.size > 0]
     # `base` holds the graph whose local ids `local` gives the active
-    # clusters in: the network at first, then the subgraph the last round
-    # kept. Only `base` holds it between rounds, so that `_bisect` can
-    # free it once it has gathered the round's own subgraph.
+    # clusters in: the network at first, then the subgraph of the last
+    # round's clusters, which holds all their parts. Only `base` holds it
+    # between rounds, so that `_bisect` can free it once it has gathered
+    # the round's own subgraph.
     base, local = [Subgraph(net.indptr, net.indices)], active
     for _ in range(cfg.max_rounds):
         if not active:
@@ -416,17 +420,15 @@ def iterative_split(
         block, halves = _bisect(base, [c for c, t in zip(local, two) if t], cfg)
         # parts 2i and 2i + 1 are the halves of cluster i
         parts = [half for pair in halves for half in pair]
-        split, kept = _core_split(net, parts, cfg.k, block)
+        split = _core_split(net, parts, cfg.k, block)
         cluster = split.part // 2
         advancing = np.bincount(cluster[split.owner >= 0], minlength=len(splittable))
         final.extend(nodes for nodes, a in zip(splittable, advancing) if not a)
         dead.append(split.nodes[(split.owner < 0) & (advancing[cluster] > 0)])
         active = split.cores
-        base.append(kept)
-        local = split_by(
-            split.owner[~split.binned], np.arange(len(kept.ids)), len(active)
-        )
+        local = split_by(split.owner, split.local, len(active))
         # only `base` may hold a graph into the next round
-        del block, kept
+        base.append(block)
+        del block
     final.extend(active)
     return Clustering([all_core(f) for f in final], net.n), union_ids(dead)

@@ -44,7 +44,10 @@ class Network:
         self.indices = indices
         self.n = len(indptr) - 1
         self.m = m
-        self._ext = ext_ids
+        if ext_ids is None:
+            ext_ids = np.arange(self.n, dtype=np.int64)
+        # one label per node: int64 for integer ids, object for strings
+        self._ext = np.asarray(ext_ids, None if _is_integer_array(ext_ids) else object)
         self._ext_lookup = None
         self._degrees = None
         self.load_report = load_report if load_report is not None else LoadReport()
@@ -138,12 +141,7 @@ class Network:
     def _labels(self, nodes) -> list:
         """External labels of `nodes` as held: Python ints where the ids
         are integers, each formatting as its label, else the labels."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if self._ext is None:
-            return nodes.tolist()
-        if isinstance(self._ext, np.ndarray):
-            return self._ext[nodes].tolist()
-        return [self._ext[v] for v in nodes.tolist()]
+        return self._ext[np.asarray(nodes, dtype=np.int64)].tolist()
 
     @property
     def integer_ids(self) -> bool:
@@ -152,7 +150,7 @@ class Network:
         So they are when the network is numbered by its own internal ids
         and when `load_edge_list` read it on its integer path.
         """
-        return self._ext is None or _is_integer_array(self._ext)
+        return _is_integer_array(self._ext)
 
     def integer_internal_ids(self, values) -> np.ndarray:
         """Internal ids of the integer labels `values`, -1 where unknown.
@@ -160,8 +158,6 @@ class Network:
         Only for a network with `integer_ids`.
         """
         values = np.asarray(values, dtype=np.int64)
-        if self._ext is None:
-            return np.where((values >= 0) & (values < self.n), values, -1)
         at = np.searchsorted(self._ext, values)
         found = at < len(self._ext)
         found[found] = self._ext[at[found]] == values[found]
@@ -247,7 +243,8 @@ def connected_components(net: Network, within=None) -> list[np.ndarray]:
     s = net.all_nodes() if within is None else net.subset(within)
     if len(s) == 0:
         return []
-    comp = _kernels.component_labels(net.indptr, net.indices, s)
+    lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, s)
+    comp = _kernels.component_labels(lptr, lind)
     return split_by(comp, s, int(comp.max()) + 1)
 
 

@@ -89,16 +89,17 @@ def modular_components(net: Network, nodes):
 def _screened_components(net: Network, lptr, lind, nodes):
     """`modular_components` of the local CSR (lptr, lind), whose local id
     i is the network node nodes[i]."""
-    comp = _kernels.local_components(lptr, lind)
-    return comp, _positive_groups(net, lptr, nodes, comp, int(comp.max(initial=-1)) + 1)
+    comp = _kernels.component_labels(lptr, lind)
+    count = int(comp.max(initial=-1)) + 1
+    return comp, _positive_groups(net, np.diff(lptr), nodes, comp, count)
 
 
-def _positive_groups(net: Network, lptr, nodes, group, count: int):
+def _positive_groups(net: Network, deg, nodes, group, count: int):
     """Whether each of `count` groups has positive modularity, given the
-    row pointers of a local CSR with no arc between groups, whose local
-    id i is the network node nodes[i] in group group[i]."""
+    degree deg[i] of each network node nodes[i] inside its group
+    group[i]."""
     ls = np.zeros(count, np.int64)
-    np.add.at(ls, group, np.diff(lptr))
+    np.add.at(ls, group, deg)
     ds = np.zeros(count, np.int64)
     np.add.at(ds, group, net.degrees[nodes])
     return _positive(int(net.m), ls // 2, ds)
@@ -241,6 +242,7 @@ class Subgraph(NamedTuple):
 
 class _CoreSplit(NamedTuple):
     nodes: np.ndarray  # the parts, concatenated
+    local: np.ndarray  # `nodes` as local ids of the graph split
     part: np.ndarray  # part index of each node
     owner: np.ndarray  # derived-core index of each node, -1 for none
     binned: np.ndarray  # whether each node is labelled below k
@@ -250,7 +252,7 @@ class _CoreSplit(NamedTuple):
 
 def _core_split(
     net: Network, parts, k: int, graph: Subgraph | None = None
-) -> tuple[_CoreSplit, Subgraph]:
+) -> _CoreSplit:
     """Steps shared by kmp_parse, extract_cores and iterative_split.
 
     For each of the disjoint sorted node arrays `parts`: core-label its
@@ -263,12 +265,10 @@ def _core_split(
     part rather than the sum over parts.
 
     The parts hold local ids of `graph`, a subgraph holding every part
-    (by default the network), and the subgraphs the peel and the
-    component pass walk are gathered from it. The split comes back in
-    network ids, with the grouped subgraph of the members not binned,
-    whose local ids follow their order in `nodes`. Only
-    `iterative_split` uses that subgraph; the other callers drop it at
-    once, so that it is freed.
+    (by default the network). The peel reads it as it is; the grouped
+    subgraph of the members not binned is gathered from it for the
+    component pass only, and freed once the components are labelled.
+    The split comes back in network ids, with the local ids beside.
 
     Derived cores come in part order, and within a part in order of
     smallest member.
@@ -283,17 +283,19 @@ def _core_split(
     )
     nodes = graph.nodes(local)
     comp, positive = _screened_components(net, lptr, lind, nodes[keep])
+    del lptr, lind  # the kept members' subgraph, read no further
     core_id = np.cumsum(positive) - 1
     owner = np.full(len(nodes), -1, np.int64)
     owner[keep] = np.where(positive[comp], core_id[comp], -1)
     return _CoreSplit(
         nodes=nodes,
+        local=local,
         part=part,
         owner=owner,
         binned=labels < k,
         cores=split_by(owner, nodes, int(positive.sum())),
         dropped=np.sort(nodes[keep[~positive[comp]]]),
-    ), Subgraph(lptr, lind, nodes[keep])
+    )
 
 
 def kmp_parse(
@@ -321,7 +323,7 @@ def kmp_parse(
     account for every input node.
     """
     check_thresholds(k, p, p_below_k=True)
-    split = _core_split(net, [c.nodes for c in clustering.clusters], k)[0]
+    split = _core_split(net, [c.nodes for c in clustering.clusters], k)
     cores = split.cores
     # only the members of input clusters with a derived core can attach
     has_core = np.bincount(split.part[split.owner >= 0], minlength=len(clustering))
@@ -350,7 +352,7 @@ def extract_cores(
     The input clusters must be disjoint; a node in two raises ValueError.
     """
     check_thresholds(k)
-    split = _core_split(net, [c.nodes for c in clustering.clusters], k)[0]
+    split = _core_split(net, [c.nodes for c in clustering.clusters], k)
     return Clustering([all_core(c) for c in split.cores], net.n), split.dropped
 
 

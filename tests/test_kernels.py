@@ -105,7 +105,9 @@ def test_peel_waves_read_one_arc_at_a_time_match_the_oracle(monkeypatch):
 @given(case=network_and_subset())
 def test_component_labels_match_oracle_in_smallest_member_order(case):
     net, sub, _ = case
-    comp = _kernels.component_labels(net.indptr, net.indices, sub)
+    comp = _kernels.component_labels(
+        *_kernels.extract_local_csr(net.indptr, net.indices, sub)
+    )
     assert comp.dtype == np.int64
     assert len(comp) == len(sub)
     ncomp = int(comp.max()) + 1 if len(comp) else 0
@@ -123,7 +125,7 @@ def test_grouped_peel_and_components_match_oracles_per_group(case, batch):
         if batch is not None:  # arcs read this many at a time
             mp.setattr(_kernels, "_BATCH", batch)
         labels = _kernels.peel(net.indptr, net.indices, sub, group)
-        comp = _kernels.local_components(
+        comp = _kernels.component_labels(
             *_kernels.extract_local_csr(net.indptr, net.indices, sub, group)
         )
     expect_labels = {}

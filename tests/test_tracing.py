@@ -45,6 +45,7 @@ def test_a_traced_iterative_split_reports_stage_two_work():
         "kernels.sweep_refine_s",
         "kernels.local_csr_s",
         "kernels.peel_s",
+        "kernels.components_s",
         "parallel.task_s",
     ):
         assert metrics[name] > 0, name
@@ -71,6 +72,7 @@ def test_a_traced_parse_reports_kernel_work():
         "kernels.peel_arcs",
         "kernels.attach_s",
         "kernels.local_csr_s",
+        "kernels.components_s",
         "kernels.scratch_mb",
     ):
         assert metrics[name] > 0, name
