@@ -89,37 +89,40 @@ def _put(buf, at, part):
 def _count_arcs(indptr, indices, sub, keep):
     """For each node of `sub`, the count of its arcs that `keep` keeps.
 
-    The arcs go by in `_row_batches`; `keep(i, u)` gets the positions i
-    in `sub` of a batch of arcs' rows and the arcs' heads u, and returns
-    a bool per arc.
+    The arcs go by in `_row_batches`; `keep(u, at, rows)` gets the heads
+    u of a batch of arcs, the positions `at` in `sub` of the batch's
+    rows (a slice) and each arc's row in the batch, and returns a bool
+    per arc.
     """
     out = np.empty(len(sub), np.int64)
     for lo, hi, arcs, rows in _row_batches(indptr, sub):
-        kept = keep(rows + lo, indices[arcs])
+        kept = keep(indices[arcs], slice(lo, hi), rows)
         out[lo:hi] = np.bincount(rows[kept], minlength=hi - lo)
     return out
 
 
 def _local(n, sub, group=None):
-    """`local(i, u)`: for the heads u of arcs from the nodes sub[i], each
-    head's position in `sub` (an n-sized map), or -1 where the arc leaves
-    `sub` or, with `group` (one id per node of `sub`), its group."""
+    """`local(u, at, rows)`: for the heads u of arcs from the nodes
+    sub[at][rows], each head's position in `sub` (an n-sized map, -1
+    outside it) and whether the arc is kept: its head is in `sub` and,
+    with `group` (one id per node of `sub`), in its tail's group."""
     loc = np.full(n, -1, np.int64)
     loc[sub] = np.arange(len(sub))
 
-    def local(i, u):
+    def local(u, at, rows):
         u = loc[u]
+        keep = u >= 0
         if group is not None:
-            # where u is -1, group[-1] is read, but u stays -1
-            u[group[u] != group[i]] = -1
-        return u
+            # where u is -1, group[-1] is read, but keep is already False
+            keep &= group[u] == group[at][rows]
+        return u, keep
 
     return local
 
 
 def _count_in(indptr, indices, mask, nodes):
     """Count, for each node of `nodes`, its neighbours with `mask` set."""
-    return _count_arcs(indptr, indices, nodes, lambda _, u: mask[u] != 0)
+    return _count_arcs(indptr, indices, nodes, lambda u, *_: mask[u] != 0)
 
 
 def subset_degrees(indptr, indices, in_sub, sub):
@@ -169,7 +172,7 @@ def peel(indptr, indices, sub, group=None, k=None):
         deg, local = np.diff(indptr), None  # every arc counts, at its node id
     else:
         local = _local(len(indptr) - 1, sub, group)
-        deg = _count_arcs(indptr, indices, sub, lambda i, u: local(i, u) >= 0)
+        deg = _count_arcs(indptr, indices, sub, lambda *arcs: local(*arcs)[1])
     labels = np.zeros(len(sub), np.int64)
     alive = np.ones(len(sub), np.bool_)
     live = np.arange(len(sub))
@@ -185,11 +188,11 @@ def peel(indptr, indices, sub, group=None, k=None):
             labels[frontier] = t
             alive[frontier] = False
             fallen = []
-            for lo, _, arcs, rows in _row_batches(indptr, sub[frontier]):
+            for lo, hi, arcs, rows in _row_batches(indptr, sub[frontier]):
                 nbr = indices[arcs]
                 if local is not None:
-                    nbr = local(frontier[rows + lo], nbr)
-                    nbr = nbr[nbr >= 0]
+                    nbr, keep = local(nbr, frontier[lo:hi], rows)
+                    nbr = nbr[keep]
                 nbr, cnt = np.unique(nbr[alive[nbr]], return_counts=True)
                 was = deg[nbr]
                 deg[nbr] = was - cnt
@@ -316,8 +319,7 @@ def extract_local_csr(indptr, indices, sub, group=None):
     lind = np.empty(0, np.int64)
     w = 0
     for lo, hi, arcs, rows in _row_batches(indptr, sub):
-        heads = local(rows + lo, indices[arcs])
-        keep = heads >= 0
+        heads, keep = local(indices[arcs], slice(lo, hi), rows)
         lptr[lo + 1 : hi + 1] = np.bincount(rows[keep], minlength=hi - lo)
         w = _put(lind, w, heads[keep])
     lind.resize(w, refcheck=False)

@@ -27,13 +27,12 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
 from . import _kernels
 from .clustering import Clustering, all_core, disjoint_concat, split_by, union_ids
-from .errors import ConfigError, check_thresholds
+from .errors import BisectConfig
 from .graph import Network
 from .parallel import ordered_map
 from .parsing import Subgraph, _core_split, _positive_groups
@@ -45,21 +44,6 @@ _EXACT_LIMIT = 15
 
 _SPECTRAL_SEED = 20240917
 _SPECTRAL_ITERS = 100
-
-
-@dataclass
-class BisectConfig:
-    k: int
-    _: KW_ONLY
-    local_search_iters: int = 0
-    max_rounds: int = 32
-
-    def __post_init__(self):
-        check_thresholds(self.k)
-        if self.local_search_iters < 0:
-            raise ConfigError("local_search_iters must be nonnegative")
-        if self.max_rounds < 1:
-            raise ConfigError("max_rounds must be at least 1")
 
 
 def normalized_cut(net: Network, c1, c2) -> float:
@@ -323,7 +307,7 @@ def _qualifying(net: Network, parts, k: int) -> np.ndarray:
     nodes, part = disjoint_concat(parts)
     local = _kernels._local(net.n, nodes, part)
     deg = _kernels._count_arcs(  # each node's degree inside its part
-        net.indptr, net.indices, nodes, lambda i, u: local(i, u) >= 0
+        net.indptr, net.indices, nodes, lambda *arcs: local(*arcs)[1]
     )
     size = np.bincount(part, minlength=len(parts))
     weak = np.bincount(part[deg < k], minlength=len(parts))

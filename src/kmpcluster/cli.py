@@ -3,6 +3,9 @@
 Every subcommand reads an edge list, does one job, and writes its
 artifacts into --out with fixed file names, so runs with the same
 inputs and flags produce byte-identical directories.
+
+Each subcommand imports the stages it runs when it starts, so `--help`
+and a bad argument load no numpy.
 """
 
 from __future__ import annotations
@@ -13,29 +16,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .augment import augment
-from .errors import ConfigError, KmpError
-from .graph import load_edge_list, text_lines, write_id_map
-from .io import (
-    load_clustering,
-    write_clustering,
-    write_coords_tsv,
-    write_json,
-    write_matrix_tsv,
-    write_node_list,
-)
-from .kcore import degeneracy, ikc, kcore_clusters
-from .markers import (
-    always_clustered,
-    always_coclustered,
-    classical_mds,
-    load_markers,
-    marker_counts,
-    mds_distances,
-)
-from .metrics import node_coverage, size_stats
-from .parsing import extract_cores, kmp_parse, strict_filter, validate
-from .pipeline import STAGE2_CHOICES, PipelineConfig, run_pipeline
+from .errors import STAGE2_CHOICES, ConfigError, KmpError, PipelineConfig
 
 log = logging.getLogger(__name__)
 
@@ -44,6 +25,8 @@ def _pipeline_config(args) -> PipelineConfig:
     """The flags' settings over the config file's. The settings parser
     reads each `key=value` line of the file as `--key value`, `_` in the
     key read as `-`, so the file and the flags share types and choices."""
+    from .graph import text_lines
+
     path = args.config
     given = argparse.Namespace()
     for lineno, line in text_lines(Path(path).read_bytes(), path) if path else ():
@@ -74,6 +57,8 @@ def _outdir(args) -> Path:
 
 def _summary(net, clustering, **extra) -> dict:
     """The stats.json block: network size, coverage and cluster sizes."""
+    from .metrics import node_coverage, size_stats
+
     return {
         "n_nodes": net.n,
         "n_edges": net.m,
@@ -84,6 +69,10 @@ def _summary(net, clustering, **extra) -> dict:
 
 
 def _cmd_pipeline(args) -> int:
+    from .graph import load_edge_list, write_id_map
+    from .io import write_clustering, write_json, write_node_list
+    from .pipeline import run_pipeline
+
     cfg = _pipeline_config(args)
     net = load_edge_list(args.edges)
     log.info("loaded %d nodes, %d edges", net.n, net.m)
@@ -109,6 +98,10 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_ikc(args) -> int:
+    from .graph import load_edge_list, write_id_map
+    from .io import write_clustering, write_json, write_node_list
+    from .kcore import ikc
+
     net = load_edge_list(args.edges)
     clustering = ikc(net, args.k)
     out = _outdir(args)
@@ -120,6 +113,10 @@ def _cmd_ikc(args) -> int:
 
 
 def _cmd_kcore(args) -> int:
+    from .graph import load_edge_list, write_id_map
+    from .io import write_clustering, write_json
+    from .kcore import degeneracy, kcore_clusters
+
     net = load_edge_list(args.edges)
     clustering = kcore_clusters(net, args.k)
     out = _outdir(args)
@@ -131,6 +128,11 @@ def _cmd_kcore(args) -> int:
 
 
 def _cmd_parse(args) -> int:
+    from .augment import augment
+    from .graph import load_edge_list
+    from .io import load_clustering, write_clustering, write_json, write_node_list
+    from .parsing import extract_cores, kmp_parse, strict_filter, validate
+
     net = load_edge_list(args.edges)
     clustering = load_clustering(net, args.clustering)
     out = _outdir(args)
@@ -156,6 +158,10 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .graph import load_edge_list
+    from .io import load_clustering, write_json
+    from .parsing import validate
+
     net = load_edge_list(args.edges)
     clustering = load_clustering(net, args.clustering)
     report = validate(net, clustering, args.k, args.p)
@@ -165,6 +171,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .graph import load_edge_list
+    from .io import load_clustering, write_json
+
     net = load_edge_list(args.edges)
     clustering = load_clustering(net, args.clustering)
     out = _outdir(args)
@@ -174,12 +183,19 @@ def _cmd_stats(args) -> int:
 
 def _marker_runs(args):
     """The marker panel and the clusterings that `markers` and `mds` read."""
+    from .graph import load_edge_list
+    from .io import load_clustering
+    from .markers import load_markers
+
     net = load_edge_list(args.edges)
     panel = load_markers(net, args.markers)
     return panel, [load_clustering(net, p) for p in args.clusterings]
 
 
 def _cmd_markers(args) -> int:
+    from .io import write_json
+    from .markers import always_clustered, always_coclustered, marker_counts
+
     panel, runs = _marker_runs(args)
     always = always_clustered(panel, runs)
     groups = always_coclustered(panel, always, runs)
@@ -201,6 +217,9 @@ def _cmd_markers(args) -> int:
 
 
 def _cmd_mds(args) -> int:
+    from .io import write_coords_tsv, write_matrix_tsv
+    from .markers import classical_mds, mds_distances
+
     panel, runs = _marker_runs(args)
     d = mds_distances(panel, runs)
     coords = classical_mds(d, dims=2)

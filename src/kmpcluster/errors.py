@@ -1,4 +1,12 @@
-"""Exception types, the checks on the thresholds k and p, and a message."""
+"""Exception types, the pipeline's settings and their checks.
+
+The settings are `BisectConfig` (stage 2's), `PipelineConfig` (all of
+the pipeline's) and `STAGE2_CHOICES`; with the checks on the thresholds
+k and p and the message for unknown ids, they need no numpy, so the
+CLI's parser is built without it.
+"""
+
+from dataclasses import KW_ONLY, asdict, dataclass
 
 
 class KmpError(Exception):
@@ -30,6 +38,48 @@ def check_thresholds(k=None, p=None, p_below_k: bool = False) -> None:
         raise ConfigError(f"p must be at least 1, got {p}")
     if p_below_k and p >= k:
         raise ConfigError(f"p must be smaller than k, got p={p} with k={k}")
+
+
+STAGE2_CHOICES = ("none", "recursive", "iterative")
+
+
+@dataclass
+class BisectConfig:
+    k: int
+    _: KW_ONLY
+    local_search_iters: int = 0
+    max_rounds: int = 32
+
+    def __post_init__(self):
+        check_thresholds(self.k)
+        if self.local_search_iters < 0:
+            raise ConfigError("local_search_iters must be nonnegative")
+        if self.max_rounds < 1:
+            raise ConfigError("max_rounds must be at least 1")
+
+
+@dataclass(kw_only=True)
+class PipelineConfig(BisectConfig):
+    """Stage 2's settings plus the ones only the pipeline reads.
+
+    Every field after `k` is keyword-only, so the order in which the
+    fields are declared cannot change what a call means.
+    """
+
+    p: int = 2
+    stage2: str = "none"
+    stage3: bool = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_thresholds(self.k, self.p, p_below_k=True)
+        if self.stage2 not in STAGE2_CHOICES:
+            raise ConfigError(
+                f"stage2 must be one of {', '.join(STAGE2_CHOICES)}, got {self.stage2!r}"
+            )
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 _LISTED = 10  # the unknown ids an error names

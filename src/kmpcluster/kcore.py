@@ -100,7 +100,7 @@ def ikc(net: Network, k: int) -> Clustering:
     indptr, indices = net.indptr, net.indices
     lab = core_labels(net).labels
     sup = _kernels._count_arcs(
-        indptr, indices, net.all_nodes(), lambda v, u: lab[u] >= lab[v]
+        indptr, indices, net.all_nodes(), lambda u, at, rows: lab[u] >= lab[at][rows]
     )
     mark = np.zeros(net.n, np.bool_)
     kept: list[Cluster] = []

@@ -198,7 +198,10 @@ def validate(net: Network, clustering: Clustering, k: int, p: int) -> ValidityRe
     owner[nodes[core]] = cluster[core]
     rim_cluster = cluster[rim]
     hits[rim] = _kernels._count_arcs(
-        net.indptr, net.indices, nodes[rim], lambda i, u: owner[u] == rim_cluster[i]
+        net.indptr,
+        net.indices,
+        nodes[rim],
+        lambda u, at, rows: owner[u] == rim_cluster[at][rows],
     )
     del owner
 

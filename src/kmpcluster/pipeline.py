@@ -11,45 +11,16 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import augment
-from .bisection import BisectConfig, iterative_split, recursive_split
 from .clustering import Clustering
-from .errors import ConfigError, check_thresholds
+from .errors import PipelineConfig
 from .graph import Network
-from .kcore import ikc
-from .parsing import ValidityReport, kmp_parse, validate
+from .parsing import ValidityReport
 
 log = logging.getLogger(__name__)
-
-STAGE2_CHOICES = ("none", "recursive", "iterative")
-
-
-@dataclass(kw_only=True)
-class PipelineConfig(BisectConfig):
-    """Stage 2's settings plus the ones only the pipeline reads.
-
-    Every field after `k` is keyword-only, so the order in which the
-    fields are declared cannot change what a call means.
-    """
-
-    p: int = 2
-    stage2: str = "none"
-    stage3: bool = True
-
-    def __post_init__(self):
-        super().__post_init__()
-        check_thresholds(self.k, self.p, p_below_k=True)
-        if self.stage2 not in STAGE2_CHOICES:
-            raise ConfigError(
-                f"stage2 must be one of {', '.join(STAGE2_CHOICES)}, got {self.stage2!r}"
-            )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -70,11 +41,16 @@ def run_pipeline(net: Network, cfg: PipelineConfig) -> PipelineResult:
     final clusters are split into `discarded` (explicitly dropped along
     the way and never re-attached) and `singletons` (everything else).
     """
+    # imported here, not at the top, so that each call reads the stages
+    # from their modules: a wrapper put in a stage's place after this
+    # module loaded is what runs
+    from .augment import augment
+    from .kcore import ikc
+    from .parsing import kmp_parse, validate
+
     timings: dict[str, float] = {}
     dropped: list[np.ndarray] = []
 
-    # the stage functions are this module's names, read at each call, so
-    # a wrapper put in a name's place is what runs
     def stage(n: int, run, *args) -> Clustering:
         """Stage n as `run(net, *args)`, timed and logged; the nodes a
         stage returning (clustering, dropped) drops go to `dropped`."""
@@ -90,6 +66,8 @@ def run_pipeline(net: Network, cfg: PipelineConfig) -> PipelineResult:
 
     stage1 = current = stage(1, ikc, cfg.k)
     if cfg.stage2 != "none":
+        from .bisection import iterative_split, recursive_split
+
         split = recursive_split if cfg.stage2 == "recursive" else iterative_split
         current = stage(2, split, current, cfg)
     if cfg.stage3:

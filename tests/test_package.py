@@ -1,11 +1,17 @@
-"""The package has one backend and no environment switches.
+"""The package has one backend, no environment switches and lazy names.
 
 Every kernel runs as numpy or plain Python on one thread, so nothing in
 the package may read an environment variable to pick a path, and
-importing the CLI must not look for an optional compiler. A run does
+loading the CLI and every module must not look for an optional
+compiler. A run does
 not import `numpy.ma` either, which plain `np.unique` loads.
+
+The package's public names load their modules on first use, and the CLI
+imports a subcommand's stages when it runs, so `--help`, a bad argument
+and a bare `import kmpcluster` load no numpy.
 """
 
+import importlib
 import os
 import re
 import subprocess
@@ -29,6 +35,8 @@ class Probe:
 
 sys.meta_path.insert(0, Probe())
 import kmpcluster.cli
+for name in kmpcluster.__all__:  # each loads its module
+    getattr(kmpcluster, name)
 print(sorted({n.split(".")[0] for n in Probe.seen}))
 """
 
@@ -44,6 +52,34 @@ assert main(
 ) == 0
 print("numpy.ma" in sys.modules)
 """
+
+
+# calls the CLI with the arguments given and lists what it loaded
+_LOADED = """
+import sys
+from kmpcluster.cli import main
+
+try:
+    main(sys.argv[1:])
+except SystemExit as exit:
+    print(exit.code)
+print(sorted(n for n in sys.modules if n.partition(".")[0] in ("kmpcluster", "numpy")))
+"""
+
+# the package's 52 public names
+_PUBLIC = """
+    BisectConfig Cluster ClusterValidity Clustering ClusteringFileError
+    ConfigError CoreLabeling EdgeListError KmpError MarkerFileError
+    MarkerPanel Network PipelineConfig PipelineResult SizeStats
+    ValidityReport all_core always_clustered always_coclustered augment
+    bipartition bipartition_many classical_mds connected_components
+    core_labels degeneracy extract_cores has_positive_modularity ikc
+    induced_edge_count iterative_split kcore_clusters kmp_parse
+    load_clustering load_edge_list load_markers marker_counts mcd
+    mds_distances modularity node_coverage normalized_cut recursive_split
+    run_pipeline size_stats smallest_common_cluster strict_filter
+    subset_degrees validate write_clustering write_edge_list write_id_map
+""".split()
 
 
 def _child(code, *args):
@@ -74,7 +110,7 @@ def test_no_module_reads_the_environment():
 
 def test_cli_import_does_not_look_for_numba():
     tried = _child(_PROBE)
-    assert "'kmpcluster'" in tried
+    assert "'kmpcluster'" in tried and "'numpy'" in tried
     assert "'numba'" not in tried
 
 
@@ -91,3 +127,47 @@ def test_cli_runs_do_not_import_numpy_ma(tmp_path):
     rows = [(v, 0) for v in range(6, -1, -1)] + [(14, 0), (15, 1), (9, 1), (8, 1)]
     noisy.write_text("".join(f"{v}\t{c}\n" for v, c in rows))
     assert _child(_RUNS, path, noisy, tmp_path) == "False"
+
+
+def test_help_and_a_bad_argument_load_only_the_parser():
+    cli = ["kmpcluster", "kmpcluster.cli", "kmpcluster.errors"]
+    assert _child(_LOADED, "--help").splitlines()[-2:] == ["0", str(cli)]
+    bad = ["pipeline", "net.tsv", "--k", "ten", "--out", "out"]
+    assert _child(_LOADED, *bad).splitlines() == ["2", str(cli)]
+
+
+def test_a_bare_import_and_the_settings_load_no_numpy():
+    code = """
+import sys
+import kmpcluster
+
+kmpcluster.PipelineConfig(k=5, stage2="iterative")
+print("numpy" in sys.modules)
+"""
+    assert _child(code) == "False"
+
+
+def test_every_public_name_resolves_to_its_module_object():
+    assert sorted(kmpcluster.__all__) == sorted(_PUBLIC)
+    for name in _PUBLIC:
+        obj = getattr(kmpcluster, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    bisection = importlib.import_module("kmpcluster.bisection")
+    pipeline = importlib.import_module("kmpcluster.pipeline")
+    assert bisection.BisectConfig is kmpcluster.BisectConfig
+    assert pipeline.PipelineConfig is kmpcluster.PipelineConfig
+
+
+def test_augment_stays_the_function_after_its_module_loads():
+    code = """
+import importlib
+import kmpcluster
+
+module = importlib.import_module("kmpcluster.augment")
+from kmpcluster import augment
+
+print(kmpcluster.augment is module.augment is augment)
+"""
+    assert _child(code) == "True"
+    importlib.import_module("kmpcluster.augment")
+    assert callable(kmpcluster.augment)

@@ -2,7 +2,9 @@
 
 `bench/tracing.py` wraps kernels and stages by name and reads their
 arguments by position, so renaming a kernel, inlining it or moving a
-stage's work elsewhere would leave its metrics reading 0.
+stage's work elsewhere would leave its metrics reading 0. So would a
+module the CLI loads during a traced run that binds a stage at import:
+it would keep that run's wrapper after the tracer is removed.
 """
 
 import importlib
@@ -12,10 +14,34 @@ from pathlib import Path
 import numpy as np
 
 import synth
+from test_package import _child
 from kmpcluster import BisectConfig, Clustering, _kernels, all_core, bisection, parsing
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
 import tracing  # noqa: E402
+
+# two traced pipeline runs in one fresh process, each with its own tracer;
+# prints the names given that read 0 in the second
+_TWO_TRACERS = """
+import sys
+
+bench, edges, out, *names = sys.argv[1:]
+sys.path.insert(0, bench)
+import tracing
+from kmpcluster.cli import main
+
+argv = ["pipeline", edges, "--k", "5", "--stage2", "iterative", "--out", out]
+for _ in range(2):
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        assert main(argv) == 0
+    finally:
+        restore()
+metrics = tracing.layer_metrics(tracer)
+print([name for name in names if metrics[name] <= 0])
+"""
 
 
 def test_every_traced_name_resolves():
@@ -76,3 +102,19 @@ def test_a_traced_parse_reports_kernel_work():
         "kernels.scratch_mb",
     ):
         assert metrics[name] > 0, name
+
+
+def test_a_second_tracer_sees_every_stage_of_a_cli_run(tmp_path):
+    # two 20-cliques joined by two edges, which stage 2 splits apart
+    edges = synth.clique_edges(range(20)) + synth.clique_edges(range(20, 40))
+    edges += [(0, 20), (1, 21)]
+    path = tmp_path / "net.tsv"
+    synth.write_edge_file(path, *zip(*edges))
+    stages = [
+        "kcore.ikc_s",
+        "bisection.split_s",
+        "augment.augment_s",
+        "parsing.kmp_parse_s",
+        "parsing.validate_s",
+    ]
+    assert _child(_TWO_TRACERS, BENCH, path, tmp_path / "out", *stages) == "[]"
