@@ -24,7 +24,6 @@ every input node as either clustered or explicitly discarded.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 
@@ -68,19 +67,13 @@ def normalized_cut(net: Network, c1, c2) -> float:
     return ncut
 
 
-@functools.cache
-def _popcounts():
-    """The masks `_exact_bipartition` adds a node to, which hold only the
-    first _EXACT_LIMIT - 2 nodes of a cluster, and their counts of set
-    bits. Built on first use, so a run without stage 2 never holds them.
-    """
-    bits = _EXACT_LIMIT - 2
-    count = np.zeros(1 << bits, np.uint8)
-    for b in range(bits):
-        count[1 << b : 2 << b] = count[: 1 << b] + 1
-    masks = np.arange(1 << bits, dtype=np.int16)
-    masks.flags.writeable = count.flags.writeable = False
-    return masks, count
+# The masks `_exact_bipartition` adds a node to, which hold only the
+# first _EXACT_LIMIT - 2 nodes of a cluster, and their counts of set bits.
+_MASKS = np.arange(1 << (_EXACT_LIMIT - 2), dtype=np.int16)
+_POPCOUNT = np.unpackbits(_MASKS.view(np.uint8).reshape(-1, 2), axis=1).sum(
+    axis=1, dtype=np.uint8
+)
+_MASKS.flags.writeable = _POPCOUNT.flags.writeable = False
 
 
 def _exact_bipartition(lptr, lind):
@@ -98,7 +91,6 @@ def _exact_bipartition(lptr, lind):
     integer a count over the edges gives.
     """
     nloc = len(lptr) - 1
-    masks, popcount = _popcounts()
     deg = np.diff(lptr)
     # the neighbours of each node as a mask
     adj = np.zeros(nloc, np.int64)
@@ -108,7 +100,7 @@ def _exact_bipartition(lptr, lind):
     dsum = np.zeros(half, np.int64)
     for j in range(nloc - 1):
         s = 1 << j
-        np.add(i0[:s], popcount[masks[:s] & adj[j]], out=i0[s : 2 * s])
+        np.add(i0[:s], _POPCOUNT[_MASKS[:s] & adj[j]], out=i0[s : 2 * s])
         np.add(dsum[:s], deg[j], out=dsum[s : 2 * s])
     # mask 0 leaves side 0 empty
     i0 = i0[1:]
@@ -123,20 +115,6 @@ def _exact_bipartition(lptr, lind):
     return np.flatnonzero(bits == 1), np.flatnonzero(bits == 0)
 
 
-def _block_dots(a, b, blocks):
-    """`a[g] @ b[g]` for each g in `blocks`, 0.0 for the other blocks.
-
-    `a` and `b` hold one view per block into a long vector, and each
-    value is one BLAS dot product on two such views, the same call a
-    block on its own would make (`.dot` reaches it with less overhead
-    than `@`). Segmented sums (`reduceat`, `bincount`, `einsum`) add in
-    another order and round differently.
-    """
-    out = np.zeros(len(a))
-    out[blocks] = [a[g].dot(b[g]) for g in blocks]
-    return out
-
-
 def _spectral_orders(lptr, lind, starts):
     """Order each block's nodes by a diffusion eigenvector estimate.
 
@@ -145,20 +123,26 @@ def _spectral_orders(lptr, lind, starts):
     iteration on its lazy walk (I + D^-1 A) / 2, with the
     degree-weighted constant vector projected out each step, from a
     fixed-seed start vector, so its result depends only on its own
-    subgraph. A block whose iterate vanishes keeps its last vector and
-    stops; an edgeless block never moves. Ties in the final coordinates
-    break by local id.
+    subgraph. Ties in the final coordinates break by local id.
 
     All blocks step together, and each gets the floats of a run on its
     own: `matvec` sums every row in arc order, a block of n nodes starts
     from the first n draws of the generator, which are what a request
-    for n draws returns, its scalars come from `_block_dots`, and
-    everything else is elementwise. Returns the local ids in order,
-    block after block.
+    for n draws returns, and everything but the scalars is elementwise.
+    Each block's scalars are BLAS dot products on its views into the
+    long vectors, the call a block on its own makes (`.dot` reaches it
+    with less overhead than `@`); segmented sums (`reduceat`,
+    `bincount`, `einsum`) add in another order and round differently.
+
+    An edgeless block is still from the start, and a block whose
+    iterate vanishes is still from then on: it keeps its vector to the
+    end, since each step gives it y = x and a norm of 1.0. An edgeless
+    block's weights are all 0, so its projections are dots that give
+    ±0.0 and leave its start vector as it is. Returns the local ids in
+    order, block after block.
     """
     sizes = np.diff(starts)
-    count = len(sizes)
-    block = np.repeat(np.arange(count), sizes)
+    block = np.repeat(np.arange(len(sizes)), sizes)
     arcs = lptr[starts[1:]] - lptr[starts[:-1]]
     deg = np.diff(lptr).astype(np.float64)
     w = deg / np.maximum(arcs, 1).astype(np.float64)[block]
@@ -167,39 +151,27 @@ def _spectral_orders(lptr, lind, starts):
     y = np.empty(len(block))
     bounds = np.column_stack([starts[:-1], starts[1:]]).tolist()
     wv, xv, yv = ([v[s:e] for s, e in bounds] for v in (w, x, y))
-    moving = np.flatnonzero(arcs > 0).tolist()
-    x -= np.repeat(_block_dots(wv, xv, moving), sizes)
+    dot = np.ndarray.dot
+    x -= np.array(list(map(dot, wv, xv))).repeat(sizes)
     tmp = np.empty(len(block))
     safe = np.maximum(deg, 1.0)
     isolated = np.flatnonzero(deg == 0)
     rows = np.repeat(np.arange(len(block)), np.diff(lptr))
-    dot = np.ndarray.dot
+    still = arcs == 0
     for _ in range(_SPECTRAL_ITERS):
-        if not moving:
-            break
         _kernels.matvec(lptr, lind, x, tmp, rows)
         # y = 0.5 * x + 0.5 * tmp / safe, and x where a node has no arc
         np.multiply(x, 0.5, out=y)
         tmp *= 0.5
         tmp /= safe
         y += tmp
-        if len(isolated):
-            y[isolated] = x[isolated]
-        if len(moving) == count:
-            # `_block_dots` over every block, with nothing to scatter
-            y -= np.array(list(map(dot, wv, yv))).repeat(sizes)
-            nrm = np.sqrt(np.array(list(map(dot, yv, yv))))
-        else:
-            y -= np.repeat(_block_dots(wv, yv, moving), sizes)
-            nrm = np.sqrt(_block_dots(yv, yv, moving))
-        # blocks already stopped read 0 here and stay stopped
-        stop = nrm < 1e-300
-        if not stop.any():
-            np.divide(y, nrm.repeat(sizes), out=x)
-        else:
-            step = ~stop
-            moving = np.flatnonzero(step).tolist()
-            x = np.where(step[block], y / np.where(step, nrm, 1.0)[block], x)
+        y[isolated] = x[isolated]
+        y -= np.array(list(map(dot, wv, yv))).repeat(sizes)
+        nrm = np.sqrt(np.array(list(map(dot, yv, yv))))
+        still |= nrm < 1e-300
+        nrm[still] = 1.0
+        np.copyto(y, x, where=still.repeat(sizes))
+        np.divide(y, nrm.repeat(sizes), out=x)
     return np.lexsort((x, block))
 
 

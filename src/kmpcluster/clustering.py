@@ -27,8 +27,6 @@ def as_ids(nodes) -> np.ndarray:
     here instead.
     """
     a = np.asarray(nodes, dtype=np.int64).ravel()
-    if not len(a):
-        return _EMPTY
     if (a[1:] > a[:-1]).all():
         a = a.view()
         a.flags.writeable = False

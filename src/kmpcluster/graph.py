@@ -241,11 +241,9 @@ def connected_components(net: Network, within=None) -> list[np.ndarray]:
     back as a sorted int64 array.
     """
     s = net.all_nodes() if within is None else net.subset(within)
-    if len(s) == 0:
-        return []
     lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, s)
     comp = _kernels.component_labels(lptr, lind)
-    return split_by(comp, s, int(comp.max()) + 1)
+    return split_by(comp, s, int(comp.max(initial=-1)) + 1)
 
 
 def load_edge_list(path) -> Network:

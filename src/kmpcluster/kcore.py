@@ -48,8 +48,6 @@ def core_labels(net: Network, within=None) -> CoreLabeling:
     """Core label of every node of the induced subgraph (whole network
     when `within` is None)."""
     s = net.all_nodes() if within is None else net.subset(within)
-    if len(s) == 0:
-        return CoreLabeling(s, np.empty(0, dtype=np.int64))
     labels = _kernels.peel(net.indptr, net.indices, s)
     return CoreLabeling(s, labels)
 

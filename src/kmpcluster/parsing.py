@@ -80,8 +80,6 @@ def modular_components(net: Network, nodes):
     each component whether its modularity in the whole network is
     positive.
     """
-    if not len(nodes):
-        return np.empty(0, np.int64), np.empty(0, np.bool_)
     lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, nodes)
     return _screened_components(net, lptr, lind, nodes)
 

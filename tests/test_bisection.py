@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -385,6 +386,48 @@ def test_a_vanishing_block_stops_alone(monkeypatch):
     for got, nodes in zip(bipartition_many(net, parts, cfg), parts):
         want = oracles.bipartition(net, nodes, cfg)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_a_block_that_vanishes_mid_run_keeps_its_last_vector(monkeypatch):
+    # only the 5th product gives the rows of degree 4 y = 0 exactly, so
+    # the 4-regular ring's iterate vanishes there and it must keep the
+    # vector of the 4th step to the end, while an edgeless block keeps
+    # its start vector and the random graph goes on stepping
+    real = _kernels.matvec
+
+    def vanish_at_the_fifth_product():
+        products = itertools.count(1)
+
+        def vanishing(lptr, lind, x, out, rows):
+            real(lptr, lind, x, out, rows)
+            if next(products) == 5:
+                out[:] = np.where(np.diff(lptr) == 4, -4.0 * x, out)
+
+        monkeypatch.setattr(_kernels, "matvec", vanishing)
+
+    rng = np.random.default_rng(5)
+    ring = synth.circulant_edges(20, (1, 2))
+    iu = np.triu_indices(24, k=1)
+    keep = rng.random(len(iu[0])) < 0.3
+    random = list(zip(iu[0][keep] + 40, iu[1][keep] + 40))
+    net = synth.net_from(ring + random, n=64)
+    parts = [np.arange(20), np.arange(20, 40), np.arange(40, 64)]
+    lptr, lind, starts = _block_csr(net, parts)
+    vanish_at_the_fifth_product()
+    order = bisection._spectral_orders(lptr, lind, starts)
+
+    def alone(nodes):
+        lp, li = _kernels.extract_local_csr(net.indptr, net.indices, nodes)
+        vanish_at_the_fifth_product()
+        return oracles.spectral_order(lp, li)
+
+    start = np.random.default_rng(bisection._SPECTRAL_SEED).standard_normal(20)
+    wants = [alone(parts[0]), np.argsort(start, kind="stable"), alone(parts[2])]
+    for want, s, e in zip(wants, starts[:-1], starts[1:]):
+        assert (order[s:e] - s).tobytes() == want.tobytes()
+    # the ring stops short of where 100 steps take it
+    monkeypatch.setattr(_kernels, "matvec", real)
+    assert (order[:20] != bisection._spectral_orders(lptr, lind, starts)[:20]).any()
 
 
 def test_standard_normal_draws_are_prefixes_of_longer_draws():

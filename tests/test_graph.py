@@ -171,6 +171,7 @@ def test_components_of_path_endpoints():
     net = synth.net_from(synth.path_edges([0, 1, 2]))
     comps = connected_components(net, [0, 2])
     assert [c.tolist() for c in comps] == [[0], [2]]
+    assert connected_components(net, []) == []
 
 
 def test_induced_edges_examples():
@@ -574,6 +575,8 @@ def test_subset_and_as_ids_match_np_unique(ids, shape):
     assert got.dtype == np.int64 and got.tolist() == expect.tolist()
     # a result that shares memory with the input must not be writable
     assert not (np.shares_memory(got, given_ids) and got.flags.writeable)
+    if shape == "empty":
+        assert not got.flags.writeable
     net = Network.from_edges([0], [1], n=40)
     if len(expect) and (expect[0] < 0 or expect[-1] >= net.n):
         with pytest.raises(IndexError):

@@ -47,6 +47,8 @@ def test_labels_within_subset():
     net = synth.net_from(synth.clique_edges(range(6)))
     lab = core_labels(net, within=range(5))
     assert lab.labels.tolist() == [4] * 5
+    lab = core_labels(net, within=[])
+    assert lab.labels.dtype == np.int64 and not len(lab.labels)
 
 
 def test_labels_match_deletion_oracle():
