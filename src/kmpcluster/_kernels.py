@@ -2,7 +2,10 @@
 
 Every function here takes plain numpy arrays; nothing in this module
 knows about the Network class. Callers pass (indptr, indices) plus
-whatever mask or output arrays the kernel needs.
+whatever mask or output arrays the kernel needs. In every CSR, the
+network's and the local ones alike, the arc offsets are int64 and the
+node ids int32. A kernel widens heads to int64 before it builds a
+product or key from them; `_row_batches` hands them out widened.
 
 Every kernel but one is numpy over whole arrays or over batches of
 them: the neighbour counts `subset_degrees`, `induced_edges` and
@@ -59,17 +62,20 @@ def _gather(indptr, sub):
     return arcs, rows
 
 
-def _row_batches(indptr, sub):
-    """`(lo, hi, arcs, rows)` for runs sub[lo:hi] of consecutive rows of
+def _row_batches(indptr, indices, sub):
+    """`(lo, hi, heads, rows)` for runs sub[lo:hi] of consecutive rows of
     `sub` holding at most `_BATCH` arcs in all (a longer row is a run of
-    its own), with `_gather` of each run."""
+    its own): the heads of each run's arcs, widened to int64, since
+    numpy indexes with int32 ones at about half the speed, and each
+    arc's row as `_gather` gives it."""
     # arcs up to the end of each row, to cut the rows into runs
     end = np.cumsum(indptr[sub + 1] - indptr[sub])
     lo = 0
     while lo < len(sub):
         done = int(end[lo - 1]) if lo else 0
         hi = max(int(np.searchsorted(end, done + _BATCH, "right")), lo + 1)
-        yield lo, hi, *_gather(indptr, sub[lo:hi])
+        arcs, rows = _gather(indptr, sub[lo:hi])
+        yield lo, hi, indices[arcs].astype(np.int64), rows
         lo = hi
 
 
@@ -95,8 +101,8 @@ def _count_arcs(indptr, indices, sub, keep):
     per arc.
     """
     out = np.empty(len(sub), np.int64)
-    for lo, hi, arcs, rows in _row_batches(indptr, sub):
-        kept = keep(indices[arcs], slice(lo, hi), rows)
+    for lo, hi, heads, rows in _row_batches(indptr, indices, sub):
+        kept = keep(heads, slice(lo, hi), rows)
         out[lo:hi] = np.bincount(rows[kept], minlength=hi - lo)
     return out
 
@@ -188,8 +194,7 @@ def peel(indptr, indices, sub, group=None, k=None):
             labels[frontier] = t
             alive[frontier] = False
             fallen = []
-            for lo, hi, arcs, rows in _row_batches(indptr, sub[frontier]):
-                nbr = indices[arcs]
+            for lo, hi, nbr, rows in _row_batches(indptr, indices, sub[frontier]):
                 if local is not None:
                     nbr, keep = local(nbr, frontier[lo:hi], rows)
                     nbr = nbr[keep]
@@ -230,12 +235,12 @@ def settle(indptr, indices, lab, sup, violators, mark):
     while len(v):
         old = lab[v]
         new = np.empty(len(v), np.int64)
-        for lo, hi, arcs, rows in _row_batches(indptr, v):
+        for lo, hi, nbr, rows in _row_batches(indptr, indices, v):
             # h-index: sort each row's capped labels in descending order;
             # it is the count of positions i (from 0) holding a label above i
             old_r = old[lo:hi][rows]
             key = rows * (int(old_r.max()) + 1)
-            cap = key - np.minimum(lab[indices[arcs]], old_r)
+            cap = key - np.minimum(lab[nbr], old_r)
             cap.sort()
             cap = key - cap
             rank = np.arange(len(rows)) - rows.searchsorted(rows)
@@ -245,8 +250,7 @@ def settle(indptr, indices, lab, sup, violators, mark):
         # it after the wave's labels are set, as the recount does
         mark[v] = True
         hits = [np.empty(0, np.int64)]
-        for lo, hi, arcs, rows in _row_batches(indptr, v):
-            nbr = indices[arcs]
+        for lo, hi, nbr, rows in _row_batches(indptr, indices, v):
             nl = lab[nbr]
             new_r = new[lo:hi][rows]
             hit = (new_r < nl) & (nl <= old[lo:hi][rows]) & ~mark[nbr]
@@ -308,18 +312,19 @@ def extract_local_csr(indptr, indices, sub, group=None):
     makes the result the disjoint union of the groups' induced
     subgraphs.
 
-    The rows are gathered in `_row_batches`. Each batch's kept arcs are
-    written into one array, which grows in place as they come (`_put`)
-    and is cut to them at the end. So beside the result, the scratch is
-    the n-sized map to local ids (`_local`), the running arc count per
-    row and a few batch-sized arrays.
+    `lptr` is int64 and `lind` int32. The rows are gathered in
+    `_row_batches`. Each batch's kept arcs are written into one array,
+    which grows in place as they come (`_put`) and is cut to them at the
+    end. So beside the result, the scratch is the n-sized map to local
+    ids (`_local`), the running arc count per row and a few batch-sized
+    arrays.
     """
     local = _local(len(indptr) - 1, sub, group)
     lptr = np.zeros(len(sub) + 1, np.int64)
-    lind = np.empty(0, np.int64)
+    lind = np.empty(0, np.int32)
     w = 0
-    for lo, hi, arcs, rows in _row_batches(indptr, sub):
-        heads, keep = local(indices[arcs], slice(lo, hi), rows)
+    for lo, hi, heads, rows in _row_batches(indptr, indices, sub):
+        heads, keep = local(heads, slice(lo, hi), rows)
         lptr[lo + 1 : hi + 1] = np.bincount(rows[keep], minlength=hi - lo)
         w = _put(lind, w, heads[keep])
     lind.resize(w, refcheck=False)
@@ -499,8 +504,7 @@ def best_cluster_per_node(indptr, indices, owner, min_id, cand, p, group=None):
     core_size = np.bincount(owner[owner >= 0], minlength=ncl)
     assert not ncl or core_size.max() < 2**26
     pairs, counts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for lo, hi, arcs, rows in _row_batches(indptr, cand):
-        heads = indices[arcs]
+    for lo, hi, heads, rows in _row_batches(indptr, indices, cand):
         c = owner[heads]
         keep = c >= 0
         if group is not None:

@@ -2,8 +2,10 @@
 
 A Network is immutable once built: `indptr`/`indices` are the usual CSR
 pair over internal ids 0..n-1, and an id map translates back to the
-external labels found in the input file. Self-loops and duplicate edges
-are dropped at construction time and counted in `load_report`.
+external labels found in the input file. As in every CSR here, the arc
+offsets `indptr` are int64 and the node ids `indices` int32, so n is at
+most 2**31. Self-loops and duplicate edges are dropped at construction
+time and counted in `load_report`.
 
 Node subsets are passed around as sorted unique int64 arrays. Helpers
 here accept any integer sequence and canonicalize it once.
@@ -66,7 +68,11 @@ class Network:
         int64 array that owns its data; the network takes it over and
         builds its arcs in that buffer, so that no second array of the
         endpoints' size is made. Otherwise the endpoints are copied into
-        such an array first.
+        such an array first. The arc keys src * n + dst are made and
+        sorted there as int64; then the heads are narrowed to int32 in
+        place, a batch at a time from the front, and the buffer is cut
+        to half, so `indices` holds 4 bytes per arc. More than 2**31
+        nodes raise ValueError, before anything n-sized is made.
         """
         if _is_integer_array(ext_ids) and len(ext_ids):
             if ext_ids[0] < 0 or (ext_ids[1:] <= ext_ids[:-1]).any():
@@ -90,6 +96,8 @@ class Network:
             n = len(ext_ids)
         if n is None:
             n = int(ends.max()) + 1 if len(ends) else 0
+        if n > 2**31:
+            raise ValueError(f"{n} nodes: int32 node ids allow at most 2**31")
         if len(ends) and (ends.min() < 0 or ends.max() >= n):
             raise ValueError("endpoint out of range")
         edges = len(ends) // 2
@@ -107,8 +115,15 @@ class Network:
         for lo in range(0, n + 1, _kernels._BATCH):
             rows = indptr[lo : lo + _kernels._BATCH]
             rows[...] = np.searchsorted(arcs, rows * n)
-        indices = np.remainder(arcs, n, out=arcs)
-        return cls(indptr, indices, m, ext_ids=ext_ids, load_report=report)
+        np.remainder(arcs, n, out=arcs)
+        # narrowed in place: each batch lands at or behind where it is read
+        heads = arcs.view(np.int32)
+        for lo in range(0, len(arcs), _kernels._BATCH):
+            hi = min(lo + _kernels._BATCH, len(arcs))
+            heads[lo:hi] = arcs[lo:hi]
+        del heads
+        arcs.resize(m, refcheck=False)
+        return cls(indptr, arcs.view(np.int32), m, ext_ids=ext_ids, load_report=report)
 
     # -- basic queries ---------------------------------------------------
 
@@ -273,7 +288,9 @@ def load_edge_list(path) -> Network:
     step: it is relabelled in place and then holds the arc keys from
     which `Network.from_edges` builds the CSR. At the peak, that array,
     an eighth at most of slack or a bool per endpoint, the n-sized id
-    map and row pointers, and a chunk of scratch are live. Once the
+    map and row pointers, and a chunk of scratch are live. The CSR's
+    int32 heads then move to the front half of that array, which is cut
+    to them. Once the
     temporaries are freed, the heap is trimmed, so that what the
     process holds afterwards is the network and not whatever freed
     memory the allocator happened to keep.

@@ -113,8 +113,7 @@ def ikc(net: Network, k: int) -> Clustering:
         # last batch violates at the end
         lab[members] = 0
         violators = []
-        for _, _, arcs, _ in _kernels._row_batches(indptr, members):
-            nbr = indices[arcs]
+        for _, _, nbr, _ in _kernels._row_batches(indptr, indices, members):
             nbr, cnt = np.unique(nbr[lab[nbr] > 0], return_counts=True)
             sup[nbr] -= cnt
             violators.append(nbr[sup[nbr] < lab[nbr]])

@@ -25,6 +25,22 @@ def adjacency(net) -> dict[int, set[int]]:
     return {v: set(net.neighbors(v).tolist()) for v in range(net.n)}
 
 
+def csr_of(pairs, n: int) -> tuple[list[int], list[int], int]:
+    """(indptr, indices, loops) of the simple graph on 0..n-1 whose edges
+    are `pairs`, in Python ints: each row's neighbours sorted, repeats
+    merged, and the loops (v, v) counted and dropped."""
+    adj: dict[int, set[int]] = {}
+    for a, b in pairs:
+        if a != b:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    indptr, indices = [0], []
+    for v in range(n):
+        indices += sorted(adj.get(v, ()))
+        indptr.append(len(indices))
+    return indptr, indices, sum(a == b for a, b in pairs)
+
+
 def core_labels_by_deletion(adj: dict[int, set[int]], nodes=None) -> dict[int, int]:
     """For each k in turn, repeatedly delete nodes with fewer than k
     remaining neighbors; a node's label is the last k it survived."""

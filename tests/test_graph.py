@@ -245,10 +245,11 @@ def test_write_then_load_round_trip(tmp_path_factory, data):
 
 
 @st.composite
-def endpoint_pairs(draw):
+def endpoint_pairs(draw, wide=False):
     """Pairs over a few nodes with loops, repeats and both orientations,
     plus the `n` to build with (None, or room for trailing isolated
-    nodes)."""
+    nodes). With `wide`, the nodes are ids at both ends of 0..n-1 with
+    n just above 2**16."""
     used = draw(st.integers(min_value=1, max_value=12))
     node = st.integers(min_value=0, max_value=used - 1)
     pairs = draw(st.lists(st.tuples(node, node), max_size=60))
@@ -258,36 +259,73 @@ def endpoint_pairs(draw):
         pairs += [(b, a) if f else (a, b) for (a, b), f in zip(again, flip)]
     extra = draw(st.none() | st.integers(min_value=0, max_value=3))
     n = None if extra is None else used + extra
-    return pairs, n
+    if not wide:
+        return pairs, n
+    top = 2**16 + draw(st.integers(min_value=1, max_value=8))
+    ids = [i if 2 * i < used else top - used + i for i in range(used)]
+    pairs = [(ids[a], ids[b]) for a, b in pairs]
+    return pairs, None if n is None else top + extra
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=endpoint_pairs(), batch=st.sampled_from([1, 3, None]))
 def test_from_edges_matches_set_oracle(case, batch):
-    pairs, n = case
+    check_from_edges(*case, batch)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=endpoint_pairs(wide=True), batch=st.sampled_from([3, None]))
+def test_from_edges_of_wide_int32_ids_matches_set_oracle(case, batch):
+    # from int32 endpoints, with arc keys src * n + dst past 2**31; a
+    # batch of 1 would take 2**16 steps to find the row pointers
+    check_from_edges(*case, batch, np.int32)
+
+
+def check_from_edges(pairs, n, batch, dtype=np.int64):
     u = [a for a, _ in pairs]
     v = [b for _, b in pairs]
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:  # repeats are dropped this many arcs at a time
             mp.setattr(_kernels, "_BATCH", batch)
-        net = Network.from_edges(u, v, n=n)
+        net = Network.from_edges(np.array(u, dtype), np.array(v, dtype), n=n)
     if n is None:
         n = max(u + v) + 1 if pairs else 0
-    adj = {x: set() for x in range(n)}
-    for a, b in pairs:
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-    m = sum(len(s) for s in adj.values()) // 2
-    loops = sum(1 for a, b in pairs if a == b)
+    indptr, indices, loops = oracles.csr_of(pairs, n)
+    m = len(indices) // 2
     assert net.n == n
     assert net.m == m
-    assert net.indptr.tolist() == [0] + np.cumsum(
-        [len(adj[x]) for x in range(n)], dtype=np.int64
-    ).tolist()
-    assert net.indices.tolist() == [y for x in range(n) for y in sorted(adj[x])]
+    assert net.indptr.dtype == np.int64 and net.indices.dtype == np.int32
+    assert net.indptr.tolist() == indptr
+    assert net.indices.tolist() == indices
     assert net.load_report.self_loops_dropped == loops
     assert net.load_report.duplicate_edges_dropped == len(pairs) - loops - m
+
+
+def test_load_ids_near_int32_limit_match_set_oracle(tmp_path):
+    # ids on both sides of 2**31, numbered by rank; the ids pass 2**31,
+    # and so do the arc keys src * n + dst of the n (near 68k) nodes
+    rng = np.random.default_rng(3)
+    ids = np.arange(2**31 - 35_000, 2**31 + 35_000)
+    u, v = ids[rng.integers(0, len(ids), (2, 120_000))]
+    u[:1000] = v[:1000]  # loops
+    path = tmp_path / "edges.tsv"
+    synth.write_edge_file(path, u, v)
+    net = load_edge_list(path)
+    labels = sorted(set(u.tolist()) | set(v.tolist()))
+    rank = {x: i for i, x in enumerate(labels)}
+    pairs = [(rank[a], rank[b]) for a, b in zip(u.tolist(), v.tolist())]
+    indptr, indices, loops = oracles.csr_of(pairs, len(labels))
+    assert [int(x) for x in net.external_ids(range(net.n))] == labels
+    assert net.indptr.tolist() == indptr
+    assert net.indices.tolist() == indices
+    assert net.load_report.self_loops_dropped == loops
+
+
+def test_from_edges_rejects_more_nodes_than_int32_ids_hold():
+    # raised before the n + 1 row pointers (16 GiB) are made; 2**31
+    # nodes would still fit, with ids up to 2**31 - 1
+    with pytest.raises(ValueError, match="int32"):
+        Network.from_edges(np.empty(0, np.int64), n=2**31 + 1)
 
 
 _IDS = (st.integers(0, 10**12) | st.integers(10**17, 10**18 - 1)).map(str)
@@ -489,12 +527,14 @@ def test_load_peak_memory_is_bounded_by_the_network(tmp_path, monkeypatch):
     monkeypatch.setattr(_kernels, "_BATCH", 1 << 11)
     tracemalloc.start()
     try:
-        load_edge_list(path)
+        net = load_edge_list(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     endpoints = 8 * 2 * 60_000
     assert peak <= 1.5 * endpoints
+    # the heads were narrowed to int32 in the endpoints' buffer
+    assert net.indices.dtype == np.int32 and net.indices.nbytes == 8 * net.m
 
 
 @st.composite

@@ -151,12 +151,12 @@ def test_local_csr_matches_adjacency_sets(case, batch):
         lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, sub)
         grouped = _kernels.extract_local_csr(net.indptr, net.indices, sub, group)
     rows = local_adjacency(oracles.adjacency(net), sub)
-    assert lptr.dtype == np.int64 and lind.dtype == np.int64
+    assert lptr.dtype == np.int64 and lind.dtype == np.int32
     assert lptr.tolist() == [0, *accumulate(len(r) for r in rows)]
     assert lind.tolist() == [j for r in rows for j in r]
 
     lptr, lind = grouped
-    assert lind.dtype == np.int64
+    assert lptr.dtype == np.int64 and lind.dtype == np.int32
     rows = [[j for j in r if group[j] == group[i]] for i, r in enumerate(rows)]
     assert lptr.tolist() == [0, *accumulate(len(r) for r in rows)]
     assert lind.tolist() == [j for r in rows for j in r]
@@ -222,7 +222,7 @@ def test_matvec_sums_in_arc_order_bit_for_bit(case):
     net, sub, rng = case
     rows = local_adjacency(oracles.adjacency(net), sub)
     lptr = np.array([0, *accumulate(len(r) for r in rows)], dtype=np.int64)
-    lind = np.array([j for r in rows for j in r], dtype=np.int64)
+    lind = np.array([j for r in rows for j in r], dtype=np.int32)
     # magnitudes from 1e-8 to 1e8, so the order of the additions shows
     x = rng.standard_normal(len(sub)) * 10.0 ** rng.integers(-8, 9, len(sub))
     out = np.full(len(sub), np.nan)
