@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .clustering import Cluster, Clustering, disjoint_concat, split_by, union_ids
+from .clustering import Clustering, run_starts
 from .errors import check_thresholds
 from .graph import Network
 
@@ -24,28 +24,21 @@ def augment(net: Network, clustering: Clustering, p: int) -> Clustering:
     Candidates are the nodes sitting in no cluster of size 2 or more;
     members of singleton clusters count as candidates, and a singleton
     cluster that fails to attach anywhere simply dissolves back to an
-    unclustered node. Cores are never modified. The clusters must be
-    disjoint; a node in two raises ValueError.
+    unclustered node. Cores are never modified.
     """
     check_thresholds(p=p)
-    targets = clustering.non_singletons()
-    # the targets' cores, their non-cores, then the singletons, so that
-    # a node in the core of target i is in part i
-    rest = [c.noncore for c in targets] + [c.nodes for c in clustering if c.size < 2]
-    nodes, part = disjoint_concat([c.core for c in targets] + rest)
-    owner = np.full(net.n, -1, dtype=np.int64)
-    owner[nodes] = part
-    candidates = np.flatnonzero((owner < 0) | (owner >= 2 * len(targets)))
-    if not targets or not len(candidates):
-        return Clustering(list(targets), clustering.n_nodes)
-    owner[owner >= len(targets)] = -1
-    min_id = np.fromiter((c.min_id for c in targets), np.int64, len(targets))
+    nodes, cluster, core = clustering.nodes, clustering.cluster, clustering.core
+    owner = clustering.assignment(min_size=2)
+    candidates = np.flatnonzero(owner < 0)
+    target = owner[nodes] >= 0  # the rows of the clusters that take members
+    owner[nodes[~core]] = -1
     choice = _kernels.best_cluster_per_node(
-        net.indptr, net.indices, owner, min_id, candidates, p
+        net.indptr, net.indices, owner, nodes[run_starts(cluster)], candidates, p
     )
-    joined = split_by(choice, candidates, len(targets))
-    out = [
-        Cluster(core=c.core, noncore=union_ids([c.noncore, j]))
-        for c, j in zip(targets, joined)
-    ]
-    return Clustering(out, clustering.n_nodes)
+    joined = choice >= 0
+    return Clustering.of(
+        clustering.n_nodes,
+        np.concatenate([nodes[target], candidates[joined]]),
+        np.concatenate([cluster[target], choice[joined]]),
+        np.concatenate([core[target], np.zeros(joined.sum(), np.bool_)]),
+    )

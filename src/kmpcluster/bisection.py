@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .clustering import Clustering, all_core, disjoint_concat, split_by, union_ids
+from .clustering import Clustering, concat, disjoint_concat, split_by, union_ids
 from .errors import BisectConfig
 from .graph import Network
 from .parallel import ordered_map
@@ -223,6 +223,7 @@ def bipartition_many(net: Network, clusters, cfg: BisectConfig) -> list:
     clusters = [net.subset(c) for c in clusters]
     if any(len(c) < 2 for c in clusters):
         raise ValueError("cannot bipartition fewer than 2 nodes")
+    disjoint_concat(clusters)  # raises when a node lies in two clusters
     block, halves = _bisect([Subgraph(net.indptr, net.indices)], clusters, cfg)
     return [(block.ids[p0], block.ids[p1]) for p0, p1 in halves]
 
@@ -235,15 +236,16 @@ def _bisect(graphs: list, clusters, cfg: BisectConfig):
     it is freed before the power iterations start. At paper scale each
     of the two takes hundreds of MiB.
 
-    Each cluster's local ids must rise with its network ids. Returns the
-    subgraph the clusters induce, with the arcs between clusters
-    dropped, and each cluster's two parts as local ids of that subgraph.
+    The clusters must be disjoint, and each cluster's local ids must
+    rise with its network ids. Returns the subgraph the clusters induce,
+    with the arcs between clusters dropped, and each cluster's two parts
+    as local ids of that subgraph.
     """
     graph = graphs.pop()
     sizes = np.fromiter(map(len, clusters), np.int64, len(clusters))
     # large clusters first, so their local CSR is a prefix of the whole
     perm = np.argsort(sizes <= _EXACT_LIMIT, kind="stable")
-    sub, block = disjoint_concat([clusters[i] for i in perm])
+    sub, block = concat([clusters[i] for i in perm])
     lptr, lind = _kernels.extract_local_csr(graph.indptr, graph.indices, sub, block)
     ids = graph.nodes(sub)
     del graph
@@ -279,7 +281,7 @@ def _qualifying(net: Network, parts, k: int) -> np.ndarray:
     """The quality bar a split part must clear to be kept as final:
     nonempty, k-valid as an all-core cluster, and with positive
     modularity. One grouped pass screens all the disjoint `parts`."""
-    nodes, part = disjoint_concat(parts)
+    nodes, part = concat(parts)
     local = _kernels._local(net.n, nodes, part)
     deg = _kernels._count_arcs(  # each node's degree inside its part
         net.indptr, net.indices, nodes, lambda *arcs: local(*arcs)[1]
@@ -304,15 +306,14 @@ def recursive_split(
     which case it is discarded.
 
     The pending clusters of a wave are bisected in one batch, and their
-    parts screened in one grouped pass, so the input clusters must be
-    disjoint; a node in two raises ValueError.
+    parts screened in one grouped pass.
 
     Returns the final clustering and the discarded nodes. Every input
     node lands in exactly one of the two.
     """
     final: list[np.ndarray] = []
     dead: list[np.ndarray] = []
-    pending = [c.nodes for c in clustering.clusters if c.size > 0]
+    pending = split_by(clustering.cluster, clustering.nodes, len(clustering))
     while pending:
         wave, pending = pending, []
         # a lone node has no neighbour inside, so it is never k-valid
@@ -339,7 +340,7 @@ def recursive_split(
                     pending.append(sibling)
                 else:
                     dead.append(sibling)
-    return Clustering([all_core(f) for f in final], net.n), union_ids(dead)
+    return Clustering.of(net.n, *concat(final)), union_ids(dead)
 
 
 def iterative_split(
@@ -363,7 +364,7 @@ def iterative_split(
     """
     final: list[np.ndarray] = []
     dead: list[np.ndarray] = []
-    active = [c.nodes for c in clustering.clusters if c.size > 0]
+    active = split_by(clustering.cluster, clustering.nodes, len(clustering))
     # `base` holds the graph whose local ids `local` gives the active
     # clusters in: the network at first, then the subgraph of the last
     # round's clusters, which holds all their parts. Only `base` holds it
@@ -379,15 +380,15 @@ def iterative_split(
         block, halves = _bisect(base, [c for c, t in zip(local, two) if t], cfg)
         # parts 2i and 2i + 1 are the halves of cluster i
         parts = [half for pair in halves for half in pair]
-        split = _core_split(net, parts, cfg.k, block)
+        split = _core_split(net, *concat(parts), cfg.k, block)
         cluster = split.part // 2
         advancing = np.bincount(cluster[split.owner >= 0], minlength=len(splittable))
         final.extend(nodes for nodes, a in zip(splittable, advancing) if not a)
         dead.append(split.nodes[(split.owner < 0) & (advancing[cluster] > 0)])
-        active = split.cores
-        local = split_by(split.owner, split.local, len(active))
+        active = split_by(split.owner, split.nodes, split.count)
+        local = split_by(split.owner, split.local, split.count)
         # only `base` may hold a graph into the next round
         base.append(block)
         del block
     final.extend(active)
-    return Clustering([all_core(f) for f in final], net.n), union_ids(dead)
+    return Clustering.of(net.n, *concat(final)), union_ids(dead)

@@ -8,11 +8,25 @@ never overlap.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # no glibc: nothing to trim
+    _MALLOC_TRIM = None
+
+
+def trim_heap() -> None:
+    """Hand freed heap pages back: glibc keeps a freed block resident while
+    a live block sits above it, wherever a step's temporaries landed."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 def as_ids(nodes) -> np.ndarray:
@@ -43,20 +57,16 @@ def run_starts(s) -> np.ndarray:
     return first
 
 
-def disjoint_concat(parts) -> tuple[np.ndarray, np.ndarray]:
-    """The node arrays `parts` concatenated, and each node's part index.
-
-    Raises ValueError when a node appears in two parts.
-    """
+def concat(parts) -> tuple[np.ndarray, np.ndarray]:
+    """The node arrays `parts` concatenated, and each node's part index."""
     nodes = np.concatenate([_EMPTY, *parts])
-    part = np.repeat(np.arange(len(parts)), [len(a) for a in parts])
-    s = np.sort(nodes)
-    bad = as_ids(s[1:][s[1:] == s[:-1]])
-    if len(bad):
-        raise ValueError(
-            f"{len(bad)} nodes appear in more than one cluster "
-            f"(first few: {bad[:5].tolist()})"
-        )
+    return nodes, np.repeat(np.arange(len(parts)), [len(a) for a in parts])
+
+
+def disjoint_concat(parts) -> tuple[np.ndarray, np.ndarray]:
+    """`concat(parts)`; raises ValueError when a node appears in two parts."""
+    nodes, part = concat(parts)
+    Clustering.of(0, nodes, part)  # which raises for a node in two parts
     return nodes, part
 
 
@@ -106,51 +116,76 @@ class Cluster:
     @property
     def min_id(self) -> int:
         """Smallest member id; sorts clusters into canonical order."""
-        lo = None
-        if len(self.core):
-            lo = int(self.core[0])
-        if len(self.noncore) and (lo is None or self.noncore[0] < lo):
-            lo = int(self.noncore[0])
-        if lo is None:
+        if not self.size:
             raise ValueError("empty cluster has no smallest member")
-        return lo
-
-    def same_nodes(self, other: "Cluster") -> bool:
-        return (
-            np.array_equal(self.core, other.core)
-            and np.array_equal(self.noncore, other.noncore)
-        )
+        return int(self.nodes[0])
 
 
 def all_core(nodes) -> Cluster:
     return Cluster(core=as_ids(nodes))
 
 
-@dataclass(eq=False)
 class Clustering:
     """A set of disjoint clusters over a network of `n_nodes` nodes.
 
-    Clusters are held in canonical order: ascending by smallest member
-    id. Nodes absent from every cluster are unclustered; they are not
-    represented explicitly.
+    It is held as three aligned columns, one row per member: `nodes`
+    (int64), `cluster` (int64) and `core` (bool). The rows are in
+    canonical order: the clusters are numbered 0, 1, ... by smallest
+    member, core or non-core, and each one's members follow in
+    ascending order. Nodes in no cluster are not represented.
+    `Clustering.of` and `Clustering(clusters, n_nodes)` both raise
+    ValueError for a node in two clusters, and drop empty clusters.
     """
 
-    clusters: list[Cluster]
-    n_nodes: int
+    def __init__(self, clusters, n_nodes: int):
+        nodes, part = concat([a for c in clusters for a in (c.core, c.noncore)])
+        self._hold(n_nodes, nodes, part // 2, part % 2 == 0)
 
-    def __post_init__(self):
-        self.clusters = sorted(
-            (c for c in self.clusters if c.size > 0), key=lambda c: c.min_id
-        )
+    @classmethod
+    def of(cls, n_nodes: int, nodes, cluster, core=None) -> "Clustering":
+        """Rows (nodes[i], cluster[i], core[i]) in any order and with any
+        integer ids; with `core` None every member is core."""
+        self = cls.__new__(cls)
+        self._hold(n_nodes, nodes, cluster, core)
+        return self
+
+    def _hold(self, n_nodes, nodes, cluster, core) -> None:
+        nodes = np.asarray(nodes, dtype=np.int64).ravel()
+        core = np.ones(len(nodes), np.bool_) if core is None else np.asarray(core)
+        by_node = np.argsort(nodes, kind="stable")
+        nodes = nodes[by_node]
+        if len(bad := as_ids(nodes[1:][nodes[1:] == nodes[:-1]])):
+            msg = f"{len(bad)} nodes appear in more than one cluster"
+            raise ValueError(f"{msg} (first few: {bad[:5].tolist()})")
+        # in node order, an id's first row holds its cluster's smallest
+        # member; the ids are renumbered by where that row stands
+        cluster = np.asarray(cluster, dtype=np.int64).ravel()[by_node]
+        by_id = np.argsort(cluster, kind="stable")
+        head = run_starts(cluster[by_id])
+        rank = np.argsort(np.argsort(by_id[head], kind="stable"), kind="stable")
+        cluster[by_id] = rank[np.cumsum(head) - 1]
+        order = np.argsort(cluster, kind="stable")
+        self.nodes, self.cluster = nodes[order], cluster[order]
+        self.core = core.astype(np.bool_).ravel()[by_node[order]]
+        self.n_nodes = n_nodes
+        del nodes, cluster, by_node, by_id, order  # several times the columns
+        trim_heap()
+
+    @property
+    def clusters(self) -> list[Cluster]:
+        """The clusters as `Cluster` objects, in canonical order."""
+        part = split_by(2 * self.cluster + ~self.core, self.nodes, 2 * len(self))
+        return [Cluster(c, x) for c, x in zip(part[::2], part[1::2])]
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return int(self.cluster[-1]) + 1 if len(self.cluster) else 0
 
     def __iter__(self):
         return iter(self.clusters)
 
-    def non_singletons(self) -> list[Cluster]:
-        return [c for c in self.clusters if c.size >= 2]
+    def sizes(self) -> np.ndarray:
+        """Member count per cluster."""
+        return np.bincount(self.cluster, minlength=len(self))
 
     def member_mask(self, min_size: int = 1) -> np.ndarray:
         """uint8 mask of nodes covered by clusters of at least `min_size`."""
@@ -176,19 +211,11 @@ class Clustering:
     def assignment(self, min_size: int = 1) -> np.ndarray:
         """Cluster index per node (-1 if unassigned or below `min_size`)."""
         out = np.full(self.n_nodes, -1, dtype=np.int64)
-        for i, c in enumerate(self.clusters):
-            if c.size >= min_size:
-                out[c.core] = i
-                out[c.noncore] = i
+        keep = self.sizes()[self.cluster] >= min_size
+        out[self.nodes[keep]] = self.cluster[keep]
         return out
 
-    def check_disjoint(self) -> None:
-        """Raise if any node appears in two clusters."""
-        disjoint_concat([a for c in self.clusters for a in (c.core, c.noncore)])
-
     def same_clusters(self, other: "Clustering") -> bool:
-        return (
-            self.n_nodes == other.n_nodes
-            and len(self.clusters) == len(other.clusters)
-            and all(a.same_nodes(b) for a, b in zip(self.clusters, other.clusters))
-        )
+        cols = ("nodes", "cluster", "core")
+        same = (np.array_equal(getattr(self, c), getattr(other, c)) for c in cols)
+        return self.n_nodes == other.n_nodes and all(same)

@@ -13,7 +13,6 @@ here accept any integer sequence and canonicalize it once.
 
 from __future__ import annotations
 
-import ctypes
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .clustering import as_ids, run_starts, split_by
+from .clustering import as_ids, run_starts, split_by, trim_heap
 from .errors import EdgeListError, KmpError
 
 NodeId = int
@@ -296,18 +295,8 @@ def load_edge_list(path) -> Network:
     memory the allocator happened to keep.
     """
     net = _read_edge_list(Path(path))
-    # glibc keeps a freed block resident while a live block sits above
-    # it in the heap; without the trim, the resident memory of every
-    # later stage depends on where the temporaries happened to land
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
+    trim_heap()
     return net
-
-
-try:
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):  # no glibc: nothing to trim
-    _MALLOC_TRIM = None
 
 
 def _read_edge_list(path: Path) -> Network:

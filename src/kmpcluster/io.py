@@ -21,18 +21,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import Cluster, Clustering, split_by
+from .clustering import Clustering, run_starts
 from .errors import ClusteringFileError, unknown_ids
 from .graph import Network, _integer_pairs, fields, label_batches, text_lines
 
 
 def write_clustering(net: Network, clustering: Clustering, path) -> None:
+    """One row per member: each cluster's core members, then its
+    non-core members, each in ascending order."""
+    # the rows of one cluster and role share a key, and so a row tail
+    key = 2 * clustering.cluster + ~clustering.core
+    order = np.argsort(key, kind="stable")
+    key, nodes = key[order], clustering.nodes[order]
+    del order
+    roles = ("core", "noncore")
+    tails = {k: f"\t{k >> 1}\t{roles[k & 1]}\n" for k in key[run_starts(key)].tolist()}
     with open(path, "w", encoding="utf-8") as f:
-        for ci, c in enumerate(clustering.clusters):
-            for part, role in ((c.core, "core"), (c.noncore, "noncore")):
-                tail = f"\t{ci}\t{role}\n"
-                for labels in label_batches(net, part):
-                    f.write("".join([f"{e}{tail}" for e in labels]))
+        for labels in label_batches(net, nodes):
+            at, key = key[: len(labels)].tolist(), key[len(labels) :]
+            f.write("".join([f"{e}{tails[k]}" for e, k in zip(labels, at)]))
 
 
 def load_clustering(net: Network, path) -> Clustering:
@@ -46,18 +53,19 @@ def load_clustering(net: Network, path) -> Clustering:
     tokens through the edge list's `_integer_pairs`, the node ids by
     binary search, repeated rows from one sort. Anything else, and any
     such file with an unknown id or a conflicting repeat, is read row
-    by row, which words every error. Either way the rows are cut into
-    clusters and roles in one grouped pass at the end. The file is read
-    once, and its bytes are dropped before either of those steps.
+    by row, which words every error. Either way the rows become the
+    clustering's columns at the end, the cluster keys numbered by
+    `np.unique`. The file is read once, and its bytes are dropped before
+    either of those steps.
     """
     path = Path(path)
     data = path.read_bytes()
     rows = _integer_rows(net, data) if net.integer_ids else None
     lines = text_lines(data, path) if rows is None else None
     del data
-    if rows is None:
-        rows = _read_rows(net, path, lines)
-    return _group_rows(net, *rows)
+    ids, keys, noncore = _read_rows(net, path, lines) if rows is None else rows
+    cluster = np.unique(keys, return_inverse=True)[1]
+    return Clustering.of(net.n, ids, cluster, ~noncore)
 
 
 def _integer_rows(net: Network, data: bytes):
@@ -132,19 +140,6 @@ def _read_rows(net: Network, path: Path, lines):
     if not ids:
         raise ClusteringFileError(f"{path}: no cluster assignments found")
     return np.array(ids, dtype=np.int64), keys, np.array(noncore)
-
-
-def _group_rows(net: Network, ids, keys, noncore) -> Clustering:
-    """Cut rows into clusters (by key) and roles in one grouped pass."""
-    names, cluster = np.unique(keys, return_inverse=True)
-    # taken in id order, every part comes out sorted for Cluster
-    order = np.argsort(ids)
-    label = (2 * cluster + noncore)[order]
-    part = split_by(label, ids[order], 2 * len(names))
-    clusters = [Cluster(core=c, noncore=nc) for c, nc in zip(part[::2], part[1::2])]
-    clustering = Clustering(clusters, net.n)
-    clustering.check_disjoint()
-    return clustering
 
 
 def write_node_list(net: Network, nodes, path) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .clustering import Cluster, Clustering, all_core, split_by, union_ids
+from .clustering import Clustering, concat, split_by, union_ids
 from .errors import check_thresholds
 from .graph import Network, connected_components
 from .parsing import modular_components
@@ -72,7 +72,7 @@ def kcore_clusters(net: Network, k: int) -> Clustering:
     # only the k-core is read, so the peel stops at k
     labels = _kernels.peel(net.indptr, net.indices, net.all_nodes(), k=k)
     comps = connected_components(net, np.flatnonzero(labels >= k))
-    return Clustering([all_core(c) for c in comps], net.n)
+    return Clustering.of(net.n, *concat(comps))
 
 
 def ikc(net: Network, k: int) -> Clustering:
@@ -101,12 +101,12 @@ def ikc(net: Network, k: int) -> Clustering:
         indptr, indices, net.all_nodes(), lambda u, at, rows: lab[u] >= lab[at][rows]
     )
     mark = np.zeros(net.n, np.bool_)
-    kept: list[Cluster] = []
+    kept: list[np.ndarray] = []
     while (top := int(lab.max(initial=0))) >= k:
         members = np.flatnonzero(lab == top)
         comp, positive = modular_components(net, members)
         comps = split_by(comp, members, len(positive))
-        kept.extend(all_core(c) for c, ok in zip(comps, positive) if ok)
+        kept.extend(c for c, ok in zip(comps, positive) if ok)
         # every live neighbour had a label of at most top: each loses
         # one support per arc into the deleted core, a batch of arcs at a
         # time; supports only fall, so a node that violates after its
@@ -118,4 +118,4 @@ def ikc(net: Network, k: int) -> Clustering:
             sup[nbr] -= cnt
             violators.append(nbr[sup[nbr] < lab[nbr]])
         _kernels.settle(indptr, indices, lab, sup, union_ids(violators), mark)
-    return Clustering(kept, net.n)
+    return Clustering.of(net.n, *concat(kept))

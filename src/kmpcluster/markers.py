@@ -137,17 +137,14 @@ def smallest_common_cluster(
     if not len(markers):
         raise ValueError("no markers given")
     assign = _marker_assignments(panel, runs)[:, markers]
-    best: tuple[int, Cluster] | None = None
+    sizes = []
     for r, clustering in enumerate(runs):
         row = assign[r]
         if (row < 0).any() or (row != row[0]).any():
-            raise ValueError(
-                f"markers are not co-clustered in run {r}"
-            )
-        cluster = clustering.clusters[int(row[0])]
-        if best is None or cluster.size < best[1].size:
-            best = (r, cluster)
-    return best
+            raise ValueError(f"markers are not co-clustered in run {r}")
+        sizes.append(clustering.sizes()[row[0]])
+    r = int(np.argmin(sizes))  # the first of equal sizes
+    return r, runs[r].clusters[int(assign[r, 0])]
 
 
 def mds_distances(panel: MarkerPanel, runs: list[Clustering]) -> np.ndarray:

@@ -44,11 +44,10 @@ def size_stats(clustering: Clustering) -> SizeStats:
     agree for odd counts. `singleton_nodes` counts nodes outside every
     non-singleton cluster.
     """
-    sizes = np.sort(
-        np.array([c.size for c in clustering.non_singletons()], dtype=np.int64)
-    )
+    sizes = clustering.sizes()
+    sizes = np.sort(sizes[sizes >= 2])
     n = len(sizes)
-    covered = int(clustering.member_mask(min_size=2).sum())
+    covered = int(sizes.sum())
     if n == 0:
         return SizeStats(0, 0, 0, 0.0, 0.0, 0.0, clustering.n_nodes)
     mid = (n - 1) // 2

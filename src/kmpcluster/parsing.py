@@ -12,8 +12,7 @@ form one block-diagonal graph. `validate`, `kmp_parse`, `extract_cores`
 and the bisection rounds therefore handle every cluster in one grouped
 pass: the kernels take each node's cluster as its group and ignore the
 arcs between groups, which gives every cluster exactly the core
-numbers, components and modularity terms of its own subgraph. A node
-found in two clusters makes these functions raise `ValueError`.
+numbers, components and modularity terms of its own subgraph.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .clustering import Cluster, Clustering, all_core, disjoint_concat, split_by
+from .clustering import Clustering
 from .errors import check_thresholds
 from .graph import Network, induced_edge_count
 
@@ -181,10 +180,7 @@ def validate(net: Network, clustering: Clustering, k: int, p: int) -> ValidityRe
     must reach p).
     """
     check_thresholds(k, p)
-    clusters = clustering.clusters
-    nodes, part = disjoint_concat([a for c in clusters for a in (c.core, c.noncore)])
-    cluster = part // 2
-    is_core = part % 2 == 0
+    nodes, cluster, is_core = clustering.nodes, clustering.cluster, clustering.core
     core = np.flatnonzero(is_core)
     rim = np.flatnonzero(~is_core)
     cptr, cind = _kernels.extract_local_csr(
@@ -204,7 +200,7 @@ def validate(net: Network, clustering: Clustering, k: int, p: int) -> ValidityRe
     del owner
 
     def per_cluster(mask):
-        return np.bincount(cluster[mask], minlength=len(clusters))
+        return np.bincount(cluster[mask], minlength=len(clustering))
 
     core_size = per_cluster(is_core)
     k_valid = per_cluster(is_core & (hits < k)) == 0
@@ -215,13 +211,11 @@ def validate(net: Network, clustering: Clustering, k: int, p: int) -> ValidityRe
     comp_cluster = np.zeros(len(positive), np.int64)
     comp_cluster[comp] = cluster[is_core]
     # a core's flag is read only when the core is one component
-    core_positive = np.zeros(len(clusters), np.bool_)
+    core_positive = np.zeros(len(clustering), np.bool_)
     core_positive[comp_cluster] = positive
-    m_valid = (np.bincount(comp_cluster, minlength=len(clusters)) == 1) & core_positive
-    out = [
-        ClusterValidity(c.size, len(c.core), bool(kv), bool(mv), bool(pv))
-        for c, kv, mv, pv in zip(clusters, k_valid, m_valid, p_valid)
-    ]
+    m_valid = (np.bincount(comp_cluster, minlength=len(core_size)) == 1) & core_positive
+    columns = (clustering.sizes(), core_size, k_valid, m_valid, p_valid)
+    out = [ClusterValidity(*row) for row in zip(*(c.tolist() for c in columns))]
     return ValidityReport(k=k, p=p, n_nodes=net.n, clusters=out)
 
 
@@ -242,22 +236,24 @@ class Subgraph(NamedTuple):
 
 
 class _CoreSplit(NamedTuple):
-    nodes: np.ndarray  # the parts, concatenated
+    nodes: np.ndarray  # the parts' nodes, as given, in network ids
     local: np.ndarray  # `nodes` as local ids of the graph split
     part: np.ndarray  # part index of each node
     owner: np.ndarray  # derived-core index of each node, -1 for none
     binned: np.ndarray  # whether each node is labelled below k
-    cores: list[np.ndarray]  # the derived cores
+    count: int  # the number of derived cores
     dropped: np.ndarray  # sorted members of the components failing the screen
 
 
 def _core_split(
-    net: Network, parts, k: int, graph: Subgraph | None = None
+    net: Network, local, part, k: int, graph: Subgraph | None = None
 ) -> _CoreSplit:
     """Steps shared by kmp_parse, extract_cores and iterative_split.
 
-    For each of the disjoint sorted node arrays `parts`: core-label its
-    induced subgraph, keep the members labeled >= k, and split them into
+    The distinct nodes `local` fall into parts, node i into part
+    part[i]; each part is a run of ascending nodes, and the runs come in
+    ascending part order. For each part: core-label its induced
+    subgraph, keep the members labeled >= k, and split them into
     connected components. Components with positive modularity are
     derived cores; the rest are dropped. Members labeled below k land in
     the holding bin. One grouped peel, one grouped component pass and
@@ -276,7 +272,6 @@ def _core_split(
     """
     if graph is None:
         graph = Subgraph(net.indptr, net.indices)
-    local, part = disjoint_concat(parts)
     labels = _kernels.peel(graph.indptr, graph.indices, local, part, k)
     keep = np.flatnonzero(labels >= k)
     lptr, lind = _kernels.extract_local_csr(
@@ -294,7 +289,7 @@ def _core_split(
         part=part,
         owner=owner,
         binned=labels < k,
-        cores=split_by(owner, nodes, int(positive.sum())),
+        count=int(positive.sum()),
         dropped=np.sort(nodes[keep[~positive[comp]]]),
     )
 
@@ -316,30 +311,31 @@ def kmp_parse(
     All input clusters go through one `_core_split`, and the bin members
     pick their cores in one pass over their arcs in the network, with
     each node's input cluster as its group, so that a bin member sees
-    only its own cluster's cores. The input clusters must be disjoint; a
-    node in two raises ValueError.
+    only its own cluster's cores.
 
     Returns the new clustering plus the nodes of dropped components.
     Dropped nodes never re-attach; they are reported so callers can
     account for every input node.
     """
     check_thresholds(k, p, p_below_k=True)
-    split = _core_split(net, [c.nodes for c in clustering.clusters], k)
-    cores = split.cores
+    split = _core_split(net, clustering.nodes, clustering.cluster, k)
+    core = split.owner >= 0
     # only the members of input clusters with a derived core can attach
-    has_core = np.bincount(split.part[split.owner >= 0], minlength=len(clustering))
-    cand = split.nodes[split.binned & (has_core[split.part] > 0)]
+    has_core = np.bincount(split.part[core], minlength=len(clustering))
+    at = np.flatnonzero(split.binned & (has_core[split.part] > 0))
     owner = np.full(net.n, -1, np.int64)
     owner[split.nodes] = split.owner
-    part = np.full(net.n, -1, np.int64)
-    part[split.nodes] = split.part
-    min_id = np.fromiter((c[0] for c in cores), np.int64, len(cores))
-    choice = _kernels.best_cluster_per_node(
-        net.indptr, net.indices, owner, min_id, cand, p, part
+    # in node order within its part, a core's first member is its smallest
+    first = np.unique(split.owner, return_index=True)[1]
+    min_id = split.nodes[first[len(first) - split.count :]]
+    group = clustering.assignment()
+    cluster = split.owner.copy()
+    cluster[at] = _kernels.best_cluster_per_node(
+        net.indptr, net.indices, owner, min_id, split.nodes[at], p, group
     )
-    noncore = split_by(choice, cand, len(cores))
-    out = [Cluster(core=c, noncore=x) for c, x in zip(cores, noncore)]
-    return Clustering(out, net.n), split.dropped
+    kept = cluster >= 0
+    out = Clustering.of(net.n, split.nodes[kept], cluster[kept], core[kept])
+    return out, split.dropped
 
 
 def extract_cores(
@@ -350,11 +346,12 @@ def extract_cores(
     Same as kmp_parse minus the re-attachment step: output clusters are
     all-core. Members below the core threshold become unclustered;
     components failing the modularity screen are dropped and reported.
-    The input clusters must be disjoint; a node in two raises ValueError.
     """
     check_thresholds(k)
-    split = _core_split(net, [c.nodes for c in clustering.clusters], k)
-    return Clustering([all_core(c) for c in split.cores], net.n), split.dropped
+    split = _core_split(net, clustering.nodes, clustering.cluster, k)
+    core = split.owner >= 0
+    out = Clustering.of(net.n, split.nodes[core], split.owner[core])
+    return out, split.dropped
 
 
 def strict_filter(
@@ -367,7 +364,7 @@ def strict_filter(
     callers can see what failed and why.
     """
     report = validate(net, clustering, k, p)
-    kept = [
-        c for c, cv in zip(clustering.clusters, report.clusters) if cv.kmp_valid
-    ]
-    return Clustering(kept, net.n), report
+    valid = np.array([cv.kmp_valid for cv in report.clusters], np.bool_)
+    kept = valid[clustering.cluster]
+    columns = (clustering.nodes, clustering.cluster, clustering.core)
+    return Clustering.of(net.n, *(c[kept] for c in columns)), report

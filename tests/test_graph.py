@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,7 +20,7 @@ from kmpcluster import (
     write_edge_list,
     write_id_map,
 )
-from kmpcluster.clustering import Cluster, as_ids
+from kmpcluster.clustering import Cluster, Clustering, as_ids
 
 
 def write_lines(tmp_path, name, lines):
@@ -642,3 +642,63 @@ def test_cluster_rejects_overlapping_core_and_noncore(core, noncore):
         c = Cluster(core=core, noncore=noncore)
         assert c.core.tolist() == sorted(set(core))
         assert c.noncore.tolist() == sorted(set(noncore))
+
+
+@st.composite
+def clustering_columns(draw):
+    """Disjoint clusters over some of the nodes 0..29, each member core
+    or not, and the same clusters as shuffled rows (node, id, core) with
+    gappy ids. Two equal cuts make an empty cluster."""
+    nodes = draw(st.permutations(range(30)))
+    cuts = sorted(draw(st.lists(st.integers(0, 30), max_size=6)))
+    groups = [sorted(nodes[a:b]) for a, b in zip([0, *cuts], cuts)]
+    one = st.integers(-50, 50)
+    ids = draw(st.lists(one, min_size=len(groups), max_size=len(groups), unique=True))
+    core = draw(st.lists(st.booleans(), min_size=30, max_size=30))
+    rows = [(v, i, core[v]) for g, i in zip(groups, ids) for v in g]
+    return groups, core, draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=clustering_columns(), repeat=st.booleans())
+# node 1 is the non-core smallest member of its cluster, and the second
+# cluster is empty
+@example(
+    case=(
+        [[1, 3, 4], [], [0, 2]],
+        [True, False, False] + [True] * 27,
+        [(3, -2, True), (0, 9, True), (4, -2, True), (1, -2, False), (2, 9, False)],
+    ),
+    repeat=False,
+)
+def test_clustering_of_columns_matches_clusters_and_oracle(case, repeat):
+    groups, core, rows = case
+    clusters = [
+        Cluster(core=[v for v in g if core[v]], noncore=[v for v in g if not core[v]])
+        for g in groups
+    ]
+    nodes, ids, flags = (list(col) for col in zip(*rows)) if rows else ([], [], [])
+    if repeat and rows:
+        # the first row's node again, in a cluster of its own
+        with pytest.raises(ValueError, match="1 nodes appear in more than one"):
+            Clustering.of(30, nodes + nodes[:1], ids + [99], flags + [True])
+        with pytest.raises(ValueError, match="1 nodes appear in more than one"):
+            Clustering(clusters + [Cluster(core=nodes[:1])], 30)
+        return
+    got = Clustering.of(30, np.array(nodes, np.int64), ids, np.array(flags, bool))
+    assert got.same_clusters(Clustering(clusters[::-1], 30))
+    # canonical order: clusters by smallest member, members ascending
+    want = sorted((g for g in groups if g), key=min)
+    assert got.nodes.tolist() == [v for g in want for v in g]
+    assert got.cluster.tolist() == [i for i, g in enumerate(want) for _ in g]
+    assert got.core.tolist() == [core[v] for g in want for v in g]
+    assert [(c.core.tolist(), c.noncore.tolist()) for c in got.clusters] == [
+        ([v for v in g if core[v]], [v for v in g if not core[v]]) for g in want
+    ]
+    assert len(got) == len(want) and got.sizes().tolist() == [len(g) for g in want]
+    for min_size in (1, 2, 3):
+        expect = [-1] * 30
+        for i, g in enumerate(want):
+            for v in g if len(g) >= min_size else ():
+                expect[v] = i
+        assert got.assignment(min_size).tolist() == expect

@@ -68,22 +68,25 @@ def test_writers_write_the_rows_of_a_row_by_row_loop(tmp_path, monkeypatch, rows
         edges = tmp_path / "edges.tsv"
         edges.write_text(text)
         net = load_edge_list(edges)
-        clustering = Clustering(
-            [Cluster(core=[0, 1], noncore=[2]), Cluster(core=[3])], net.n
-        )
-        write_clustering(net, clustering, tmp_path / "c.tsv")
+        label = net.external_id
+        # the second has a cluster whose smallest member is non-core
+        for clusters in (
+            [Cluster(core=[0, 1], noncore=[2]), Cluster(core=[3])],
+            [Cluster(core=[2, 3], noncore=[0]), Cluster(core=[1])],
+        ):
+            clustering = Clustering(clusters, net.n)
+            write_clustering(net, clustering, tmp_path / "c.tsv")
+            parts = [
+                (part, ci, role)
+                for ci, c in enumerate(clustering)
+                for part, role in ((c.core, "core"), (c.noncore, "noncore"))
+            ]
+            assert (tmp_path / "c.tsv").read_text() == "".join(
+                f"{label(v)}\t{ci}\t{role}\n" for part, ci, role in parts for v in part
+            )
         write_id_map(net, tmp_path / "ids.tsv")
         io.write_node_list(net, [3, 0, 2], tmp_path / "nodes.tsv")
         io.write_node_list(net, [], tmp_path / "none.tsv")
-        label = net.external_id
-        parts = [
-            (part, ci, role)
-            for ci, c in enumerate(clustering)
-            for part, role in ((c.core, "core"), (c.noncore, "noncore"))
-        ]
-        assert (tmp_path / "c.tsv").read_text() == "".join(
-            f"{label(v)}\t{ci}\t{role}\n" for part, ci, role in parts for v in part
-        )
         assert (tmp_path / "ids.tsv").read_text() == "".join(
             f"{label(v)}\t{v}\n" for v in range(net.n)
         )
@@ -273,8 +276,13 @@ def test_integer_partition_path_matches_row_path(tmp_path_factory, case):
     def rows(net):
         return io._read_rows(net, path, graph.text_lines(path.read_bytes(), path))
 
-    want = _outcome(twin, lambda: io._group_rows(twin, *rows(twin)))
-    assert _outcome(net, lambda: io._group_rows(net, *rows(net))) == want
+    def group(net):
+        ids, keys, noncore = rows(net)
+        cluster = np.unique(keys, return_inverse=True)[1]
+        return Clustering.of(net.n, ids, cluster, ~noncore)
+
+    want = _outcome(twin, lambda: group(twin))
+    assert _outcome(net, lambda: group(net)) == want
     assert _outcome(net, lambda: load_clustering(net, path)) == want
 
 
