@@ -134,7 +134,9 @@ class Clustering:
     member, core or non-core, and each one's members follow in
     ascending order. Nodes in no cluster are not represented.
     `Clustering.of` and `Clustering(clusters, n_nodes)` both raise
-    ValueError for a node in two clusters, and drop empty clusters.
+    ValueError for a node in two clusters, `Clustering.of` also for a
+    row repeated within a cluster (a `Cluster` drops such a repeat), and
+    both drop empty clusters.
     """
 
     def __init__(self, clusters, n_nodes: int):
@@ -154,12 +156,20 @@ class Clustering:
         core = np.ones(len(nodes), np.bool_) if core is None else np.asarray(core)
         by_node = np.argsort(nodes, kind="stable")
         nodes = nodes[by_node]
-        if len(bad := as_ids(nodes[1:][nodes[1:] == nodes[:-1]])):
-            msg = f"{len(bad)} nodes appear in more than one cluster"
-            raise ValueError(f"{msg} (first few: {bad[:5].tolist()})")
+        cluster = np.asarray(cluster, dtype=np.int64).ravel()[by_node]
+        if (again := nodes[1:] == nodes[:-1]).any():
+            # a node's rows stand together; two of them with two ids put
+            # it in two clusters, else it repeats within one
+            two = again & (cluster[1:] != cluster[:-1])
+            if two.any():
+                fault, bad = "appear in more than one cluster", as_ids(nodes[1:][two])
+            else:
+                fault, bad = "repeat within one cluster", as_ids(nodes[1:][again])
+            msg = f"{len(bad)} nodes {fault} (first few: {bad[:5].tolist()})"
+            raise ValueError(msg)
+        del again
         # in node order, an id's first row holds its cluster's smallest
         # member; the ids are renumbered by where that row stands
-        cluster = np.asarray(cluster, dtype=np.int64).ravel()[by_node]
         by_id = np.argsort(cluster, kind="stable")
         head = run_starts(cluster[by_id])
         rank = np.argsort(np.argsort(by_id[head], kind="stable"), kind="stable")

@@ -274,25 +274,28 @@ def load_edge_list(path) -> Network:
     bit length of the last endpoint's position (near 10**18, in a large
     file), leaves no room for `_relabel`'s packed keys; such a file is
     numbered by `np.unique`, with the same result. Every other file goes
-    to the string path, which numbers the nodes in string order and
-    reports malformed lines: any other byte, a line with other than two
-    fields, a longer id, a lone `\r`, and an id with a leading zero (so
-    `007` and `7` stay two nodes).
+    to the string path, which numbers the nodes in string order: any
+    other byte, a line with other than two fields, a longer id, a lone
+    `\r`, and an id with a leading zero (so `007` and `7` stay two
+    nodes). There `_read_strings` reads the ids as fixed-width bytes;
+    a file it cannot read so, such as one with a malformed line, goes
+    to the row reader `_load_general`, which reads it whole and reports
+    the line.
 
-    The integer path reads the file in chunks of about `_CHUNK` bytes
-    that end at a line end, and never holds it whole; the string path
-    reads it whole, again. So the integer path's peak is set by the
-    int64 ids of all the endpoints, not by the text. They go into one
-    array, grown in place chunk by chunk, which then serves every later
-    step: it is relabelled in place and then holds the arc keys from
-    which `Network.from_edges` builds the CSR. At the peak, that array,
-    an eighth at most of slack or a bool per endpoint, the n-sized id
-    map and row pointers, and a chunk of scratch are live. The CSR's
-    int32 heads then move to the front half of that array, which is cut
-    to them. Once the
-    temporaries are freed, the heap is trimmed, so that what the
-    process holds afterwards is the network and not whatever freed
-    memory the allocator happened to keep.
+    Both `_read_integers` and `_read_strings` read the file in chunks of
+    about `_CHUNK` bytes that end at a line end, and never hold it
+    whole. The string path's peak is set by its ids at their fixed
+    width, twice over while they are sorted. The integer path's is set
+    by the int64 ids of all the endpoints, not by the text. They go
+    into one array, grown in place chunk by chunk, which then serves
+    every later step: it is relabelled in place and then holds the arc
+    keys from which `Network.from_edges` builds the CSR. At the peak,
+    that array, an eighth at most of slack or a bool per endpoint, the
+    n-sized id map and row pointers, and a chunk of scratch are live.
+    The CSR's int32 heads then move to the front half of that array,
+    which is cut to them. Once the temporaries are freed, the heap is
+    trimmed, so that what the process holds afterwards is the network
+    and not whatever freed memory the allocator happened to keep.
     """
     net = _read_edge_list(Path(path))
     trim_heap()
@@ -301,14 +304,18 @@ def load_edge_list(path) -> Network:
 
 def _read_edge_list(path: Path) -> Network:
     ids = _read_integers(path)
-    if ids is None:
-        data = path.read_bytes()
-        if not data or data.isspace():
-            raise EdgeListError(f"{path}: empty edge list")
-        return _load_general(path, data)
-    ext, inv = _relabel(ids)
-    del ids
-    return Network.from_edges(inv, ext_ids=ext)
+    if ids is not None:
+        ext, inv = _relabel(ids)
+        del ids
+        return Network.from_edges(inv, ext_ids=ext)
+    strings = _read_strings(path)
+    if strings is not None:
+        labels, inverse = strings
+        return Network.from_edges(inverse, ext_ids=labels)
+    data = path.read_bytes()
+    if not data or data.isspace():
+        raise EdgeListError(f"{path}: empty edge list")
+    return _load_general(path, data)
 
 
 _CHUNK = 1 << 18  # bytes read at a time (see `_line_chunks`)
@@ -360,6 +367,107 @@ def _line_chunks(f):
             head.append(block)
     if head:
         yield b"".join(head)
+
+
+def _read_strings(path: Path):
+    """(labels, inverse) for an edge list of string ids, or None to hand
+    off to `_load_general`: the labels are the distinct ids as str in
+    sorted order, and the inverse is each token's label index, in file
+    order, as an int64 array that owns its data.
+
+    The file is read in `_line_chunks`, and `_string_tokens` finds each
+    chunk's ids with byte masks; as with `_read_integers`, no line and
+    no token spans two chunks. The ids are gathered into one array of
+    fixed-width bytes, grown in place (`_kernels._put`) and widened when
+    a longer id comes. One sort of that array numbers them, as
+    `np.unique(..., return_inverse=True)` would: in UTF-8 byte order,
+    which is the code point order in which Python sorts str. The sort
+    takes a sorted copy of the ids and 8 bytes a token beside them; once
+    both copies are freed, the inverse takes 25 bytes a token.
+
+    It hands off where the row reader might read the file otherwise or
+    word an error: at a NUL byte (a bytes array drops trailing NULs),
+    bytes that are not UTF-8, a line of other than two fields, or a file
+    with no ids. It also hands off when the ids at their fixed width
+    would take more than `_WIDE` times the bytes read, and a MiB more,
+    as one long id among many short ones would make them: past that, the
+    sort's two copies would take more than the row reader, which takes
+    about 8 times the file's bytes.
+    """
+    ids = np.empty(0, "S1")
+    count = read = 0
+    with open(path, "rb") as f:
+        for chunk in _line_chunks(f):
+            found = _string_tokens(chunk)
+            if found is None:
+                return None
+            buf, lo, length = found
+            read += len(chunk)
+            if not len(lo):
+                continue
+            width = int(length.max())
+            if max(width, ids.itemsize) * (count + len(lo)) > _WIDE * read + 2**20:
+                return None
+            if width > ids.itemsize:
+                ids = ids.astype(f"S{width}")
+            count = _kernels._put(ids, count, _gather(buf, lo, length, width))
+    if not count:
+        return None
+    ids.resize(count, refcheck=False)
+    order = ids.argsort()
+    ids = ids[order]
+    first = run_starts(ids)
+    labels = [label.decode() for label in ids[first].tolist()]
+    del ids
+    inverse = np.empty(count, np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return labels, inverse
+
+
+_WIDE = 4  # bounds the ids' fixed width (see `_read_strings`)
+
+# the bytes that end an id: ASCII whitespace (`_SPACE`) and line ends
+_GAP = np.zeros(256, np.int8)
+_GAP[[9, 10, 11, 12, 13, 32]] = 1
+
+
+def _string_tokens(chunk: bytes):
+    """(bytes, starts, lengths) of the ids on the edge lines of `chunk`,
+    or None to hand off (see `_read_strings`).
+
+    An id is a run of bytes other than ASCII whitespace and line ends
+    (LF and CR, so that a CRLF makes one empty line more, which holds
+    no id). A line is a comment when its first id starts with `#`, as
+    `text_lines` reads it after stripping; every other line must hold
+    0 or 2 ids.
+    """
+    if b"\0" in chunk:
+        return None
+    try:
+        chunk.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    buf = np.frombuffer(chunk, np.uint8)
+    # -1 where an id starts, 1 one past where it ends
+    edge = np.diff(_GAP[buf], prepend=1, append=1)
+    lo = np.flatnonzero(edge == -1)
+    length = np.flatnonzero(edge == 1) - lo
+    line = np.searchsorted(np.flatnonzero((buf == 10) | (buf == 13)), lo)
+    first = run_starts(line)
+    head = np.flatnonzero(first)
+    comment = buf[lo[head]] == ord("#")
+    if (np.diff(head, append=len(lo))[~comment] != 2).any():
+        return None
+    keep = ~comment[np.cumsum(first) - 1]
+    return buf, lo[keep], length[keep]
+
+
+def _gather(buf, lo, length, width: int):
+    """The ids `buf[lo:lo + length]` as an array of `width`-byte strings."""
+    padded = np.concatenate([buf, np.zeros(width, np.uint8)])
+    out = np.lib.stride_tricks.sliding_window_view(padded, width)[lo]
+    out[np.arange(width) >= length[:, None]] = 0
+    return out.view(f"S{width}").ravel()
 
 
 def _relabel(ids):
@@ -558,12 +666,12 @@ def fields(line: str) -> list[str]:
 def _load_general(path: Path, data: bytes) -> Network:
     """Read an edge list of string ids (say DOIs) from its bytes `data`.
 
-    Ids are numbered in sorted string order. This reader holds the whole
-    decoded file, one Python string per token and a dict from each
-    distinct id to its number, so its memory grows with the file by far
-    more than the integer path's: fine for the bounded workloads, not
-    for a paper-scale network of string ids, which would need a
-    streaming reader.
+    Ids are numbered in sorted string order. This row reader holds the
+    whole decoded file, one Python string, field list and tuple per
+    token and a dict from each distinct id to its number: about 8 times
+    the file's bytes, against 2.6 for `_read_strings`, which reads every
+    file it can take and hands the rest here. So this reader is the one
+    that words an error, and the tests' reference for `_read_strings`.
     """
     pairs = []
     for lineno, line in text_lines(data, path):

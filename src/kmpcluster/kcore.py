@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .clustering import Clustering, concat, split_by, union_ids
+from .clustering import Clustering, union_ids
 from .errors import check_thresholds
-from .graph import Network, connected_components
+from .graph import Network
 from .parsing import modular_components
 
 log = logging.getLogger(__name__)
@@ -71,8 +71,9 @@ def kcore_clusters(net: Network, k: int) -> Clustering:
         k = 1
     # only the k-core is read, so the peel stops at k
     labels = _kernels.peel(net.indptr, net.indices, net.all_nodes(), k=k)
-    comps = connected_components(net, np.flatnonzero(labels >= k))
-    return Clustering.of(net.n, *concat(comps))
+    members = np.flatnonzero(labels >= k)
+    lptr, lind = _kernels.extract_local_csr(net.indptr, net.indices, members)
+    return Clustering.of(net.n, members, _kernels.component_labels(lptr, lind))
 
 
 def ikc(net: Network, k: int) -> Clustering:
@@ -101,12 +102,16 @@ def ikc(net: Network, k: int) -> Clustering:
         indptr, indices, net.all_nodes(), lambda u, at, rows: lab[u] >= lab[at][rows]
     )
     mark = np.zeros(net.n, np.bool_)
-    kept: list[np.ndarray] = []
+    # the kept components' rows, their ids running on from round to round
+    nodes, cluster = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    offset = 0
     while (top := int(lab.max(initial=0))) >= k:
         members = np.flatnonzero(lab == top)
         comp, positive = modular_components(net, members)
-        comps = split_by(comp, members, len(positive))
-        kept.extend(c for c, ok in zip(comps, positive) if ok)
+        ok = positive[comp]
+        nodes.append(members[ok])
+        cluster.append(comp[ok] + offset)
+        offset += len(positive)
         # every live neighbour had a label of at most top: each loses
         # one support per arc into the deleted core, a batch of arcs at a
         # time; supports only fall, so a node that violates after its
@@ -118,4 +123,7 @@ def ikc(net: Network, k: int) -> Clustering:
             sup[nbr] -= cnt
             violators.append(nbr[sup[nbr] < lab[nbr]])
         _kernels.settle(indptr, indices, lab, sup, union_ids(violators), mark)
-    return Clustering.of(net.n, *concat(kept))
+    # each list is freed once joined
+    nodes = np.concatenate(nodes)
+    cluster = np.concatenate(cluster)
+    return Clustering.of(net.n, nodes, cluster)

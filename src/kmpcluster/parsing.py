@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .clustering import Clustering
+from .clustering import Clustering, trim_heap
 from .errors import check_thresholds
 from .graph import Network, induced_edge_count
 
@@ -177,7 +177,7 @@ def validate(net: Network, clustering: Clustering, k: int, p: int) -> ValidityRe
     its own cluster (which must reach k), and each core's components
     and their modularity terms. A count over the non-core members'
     arcs, a batch at a time, gives each of them the same count (which
-    must reach p).
+    must reach p). The heap is trimmed once those arrays are freed.
     """
     check_thresholds(k, p)
     nodes, cluster, is_core = clustering.nodes, clustering.cluster, clustering.core
@@ -216,6 +216,8 @@ def validate(net: Network, clustering: Clustering, k: int, p: int) -> ValidityRe
     m_valid = (np.bincount(comp_cluster, minlength=len(core_size)) == 1) & core_positive
     columns = (clustering.sizes(), core_size, k_valid, m_valid, p_valid)
     out = [ClusterValidity(*row) for row in zip(*(c.tolist() for c in columns))]
+    del core, rim, cptr, cind, hits, rim_cluster, comp, comp_cluster, columns
+    trim_heap()
     return ValidityReport(k=k, p=p, n_nodes=net.n, clusters=out)
 
 

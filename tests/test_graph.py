@@ -465,11 +465,11 @@ def test_integer_pairs_edge_cases(text, want):
         assert list(zip(pairs[0].tolist(), pairs[1].tolist())) == want
 
 
-def load_outcome(path):
-    """What loading `path` gives: ids, CSR and report, or the error."""
+def load_outcome(path, load=load_edge_list):
+    """What `load(path)` gives: ids, CSR and report, or the error."""
     try:
-        net = load_edge_list(path)
-    except EdgeListError as e:
+        net = load(path)
+    except KmpError as e:
         return str(e)
     ids = [net.external_id(v) for v in range(net.n)]
     csr = (net.indptr.tolist(), net.indices.tolist())
@@ -535,6 +535,114 @@ def test_load_peak_memory_is_bounded_by_the_network(tmp_path, monkeypatch):
     assert peak <= 1.5 * endpoints
     # the heads were narrowed to int32 in the endpoints' buffer
     assert net.indices.dtype == np.int32 and net.indices.nbytes == 8 * net.m
+
+
+# id characters: a no-break space, a line separator and a NEL, which
+# neither reader cuts at, UTF-8 of two to four bytes, and digits
+_ID_CHARS = ["a", "Z", "/", ".", "0", "7", "é", "日", "😀"]
+_ID_CHARS += ["\u00a0", "\u2028", "\x85"]
+_ID_TEXT = st.text(st.sampled_from(_ID_CHARS), min_size=1, max_size=4)
+_STRING_ID = _ID_TEXT | st.sampled_from(["007", "7", "10.1000/j.x"])
+_WS = " \t\v\f"
+
+
+@st.composite
+def string_line(draw):
+    """(line bytes, kind): an edge, an indented comment or a blank line,
+    or, now and then, an odd line that the string reader must hand off:
+    1 or 3 fields, a NUL, or bytes that are not UTF-8."""
+    pad = draw(st.text(_WS, max_size=2))
+    kind = draw(st.sampled_from(["edge"] * 6 + ["comment", "blank", "odd"]))
+    if kind == "blank":
+        return pad.encode(), kind
+    if kind == "comment":
+        return (pad + "#" + draw(st.text(_WS + "xé 1", max_size=6))).encode(), kind
+    a, b = draw(_STRING_ID), draw(_STRING_ID)
+    sep = draw(st.text(_WS, min_size=1, max_size=2))
+    line = (pad + a + sep + b + draw(st.text(_WS, max_size=2))).encode()
+    if kind == "edge":
+        return line, kind
+    odd = draw(st.sampled_from(["one", "three", "nul", "utf8"]))
+    if odd == "one":
+        return (pad + a).encode(), kind
+    if odd == "three":
+        return line + f" {draw(_STRING_ID)}".encode(), kind
+    at = draw(st.integers(len(pad), len(line)))
+    return line[:at] + (b"\0" if odd == "nul" else b"\xff") + line[at:], kind
+
+
+@st.composite
+def string_edge_list(draw):
+    """Edge-list bytes with LF, CRLF and lone-CR ends, and whether the
+    string reader must read them rather than hand off."""
+    lines = draw(st.lists(string_line(), min_size=1, max_size=10))
+    ends = [draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for _ in lines]
+    data = b"".join(line + end for (line, _), end in zip(lines, ends))
+    if draw(st.booleans()):
+        data = data[: -len(ends[-1])]
+    kinds = {kind for _, kind in lines}
+    return data, "edge" in kinds and "odd" not in kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=string_edge_list(), chunk=st.sampled_from([1, 2, 7, 64, 1 << 18]))
+@example(case=(b"a\tb\r\n  # x y z\r\n \x0bc\x0cd\ra\t007\n7 c", True), chunk=2)
+def test_string_reader_matches_row_reader(tmp_path_factory, case, chunk):
+    data, readable = case
+    path = tmp_path_factory.mktemp("str") / "edges.tsv"
+    path.write_bytes(data)
+    want = load_outcome(path, lambda path: graph._load_general(path, data))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_CHUNK", chunk)
+        got = graph._read_strings(path)
+        if got is not None:
+            net = Network.from_edges(got[1], ext_ids=got[0])
+            assert load_outcome(path, lambda path: net) == want
+            return
+        assert not readable
+        # handed off, the file loads as the row reader reads it
+        if data.isspace() or not data:
+            want = f"{path}: empty edge list"
+        assert load_outcome(path) == want
+
+
+def test_string_load_peak_memory_is_bounded_by_the_file(tmp_path, monkeypatch):
+    # 60k edges over 20k DOI-like ids, read in about 150 chunks; the
+    # string reader's peak is about 2.6 times the file's bytes, where
+    # the row reader's was 8.4 times (168 bytes a token)
+    rng = np.random.default_rng(5)
+    raw = rng.choice(10**9, 20_000, replace=False)
+    prefix = rng.integers(1000, 1100, 20_000)
+    ids = np.array([f"10.{p}/j.{r:09d}" for p, r in zip(prefix, raw)], dtype=object)
+    u, v = ids[rng.integers(0, len(ids), (2, 60_000))]
+    path = tmp_path / "edges.tsv"
+    path.write_text("".join(f"{a}\t{b}\n" for a, b in zip(u, v)), encoding="ascii")
+    monkeypatch.setattr(graph, "_CHUNK", 1 << 14)
+    monkeypatch.setattr(_kernels, "_BATCH", 1 << 11)
+
+    def no_row_reader(*args):
+        raise AssertionError("handed off to the row reader")
+
+    monkeypatch.setattr(graph, "_load_general", no_row_reader)
+    tracemalloc.start()
+    try:
+        net = load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * path.stat().st_size
+    assert net.external_ids(net.all_nodes()) == sorted({*u, *v})
+
+
+def test_one_long_id_sends_the_file_to_the_row_reader(tmp_path):
+    # at one fixed width, a 1.5 MB id would make the ten ids of a 1.5 MB
+    # file take 15 MB
+    long = "x" * 1_500_000
+    lines = [f"a{i}\tb{i}" for i in range(4)] + [f"a0\t{long}"]
+    path = write_lines(tmp_path, "e.tsv", lines)
+    assert graph._read_strings(path) is None
+    net = load_edge_list(path)
+    assert net.n == 9 and net.external_id(net.n - 1) == long
 
 
 @st.composite
@@ -642,6 +750,25 @@ def test_cluster_rejects_overlapping_core_and_noncore(core, noncore):
         c = Cluster(core=core, noncore=noncore)
         assert c.core.tolist() == sorted(set(core))
         assert c.noncore.tolist() == sorted(set(noncore))
+
+
+def test_clustering_names_a_repeated_row_apart_from_a_shared_node():
+    # node 3 twice in one cluster is a repeated row, not an overlap
+    repeat = r"^1 nodes repeat within one cluster \(first few: \[3\]\)"
+    with pytest.raises(ValueError, match=repeat):
+        Clustering.of(5, [3, 3, 1], [0, 0, 0])
+    # a Cluster drops the repeat, so the other constructor never sees one
+    got = Clustering([Cluster(core=[3, 3, 1])], 5)
+    assert got.same_clusters(Clustering.of(5, [1, 3], [7, 7]))
+    # a node in two clusters is named so by both, also where it repeats
+    shared = r"^1 nodes appear in more than one cluster \(first few: \[3\]\)"
+    for make in (
+        lambda: Clustering.of(5, [3, 1, 3, 3], [0, 0, 2, 0]),
+        lambda: Clustering.of(5, [3, 3, 3], [0, 2, 2], [True, False, True]),
+        lambda: Clustering([Cluster(core=[3, 3, 1]), Cluster([4], [3])], 5),
+    ):
+        with pytest.raises(ValueError, match=shared):
+            make()
 
 
 @st.composite

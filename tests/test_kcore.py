@@ -235,6 +235,21 @@ def test_ikc_on_a_cycle_left_by_its_clique():
     assert [c.size for c in ikc(net, 1)] == [12, 199, 199]
 
 
+def test_ikc_keeps_clusters_of_two_rounds_apart():
+    # round 1 rejects three triangles, whose 12 leaves a node leave them
+    # no modularity, and keeps the fourth, its component 3; round 2
+    # keeps the edge, its component 0, which must not join component 3
+    edges = synth.clique_edges(range(9, 12)) + [(12, 13)]
+    for t in range(3):
+        edges += synth.clique_edges(range(3 * t, 3 * t + 3))
+    leaves = iter(range(14, 14 + 9 * 12))
+    edges += [(v, next(leaves)) for v in range(9) for _ in range(12)]
+    net = synth.net_from(edges)
+    got = ikc(net, 1)
+    assert got.same_clusters(oracles.ikc(net, 1))
+    assert [c.core.tolist() for c in got] == [[9, 10, 11], [12, 13]]
+
+
 def supports(adj, lab, v) -> int:
     return sum(1 for u in adj[v] if lab[u] >= lab[v])
 
