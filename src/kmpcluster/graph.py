@@ -5,7 +5,9 @@ pair over internal ids 0..n-1, and an id map translates back to the
 external labels found in the input file. As in every CSR here, the arc
 offsets `indptr` are int64 and the node ids `indices` int32, so n is at
 most 2**31. Self-loops and duplicate edges are dropped at construction
-time and counted in `load_report`.
+time and counted in `load_report`. `load_edge_list` numbers the nodes in
+numeric id order when every id is a canonical decimal, and in string
+order otherwise; nothing but the ids decides which.
 
 Node subsets are passed around as sorted unique int64 arrays. Helpers
 here accept any integer sequence and canonicalize it once.
@@ -267,30 +269,22 @@ def load_edge_list(path) -> Network:
     Ids may be arbitrary strings. Raises EdgeListError for an empty or
     malformed file, naming the offending line.
 
-    A file whose ids are all integers written in canonical decimal form
-    takes a whole-array fast path (`_integer_pairs` gives its grammar)
-    and numbers the nodes in numeric id order: node i is the i-th
-    smallest id (`_relabel`). An id of 2**(62 - b) or more, b being the
-    bit length of the last endpoint's position (near 10**18, in a large
-    file), leaves no room for `_relabel`'s packed keys; such a file is
-    numbered by `np.unique`, with the same result. Every other file goes
-    to the string path, which numbers the nodes in string order: any
-    other byte, a line with other than two fields, a longer id, a lone
-    `\r`, and an id with a leading zero (so `007` and `7` stay two
-    nodes). There `_read_strings` reads the ids as fixed-width bytes;
-    a file it cannot read so, such as one with a malformed line, goes
-    to the row reader `_load_general`, which reads it whole and reports
-    the line.
+    The nodes are numbered in numeric id order when every id is a
+    canonical decimal (`_integers`), and in string order otherwise, so
+    that `007` and `7` stay two nodes; comments, blank space and line
+    ends play no part in it.
 
-    Both `_read_integers` and `_read_strings` read the file in chunks of
-    about `_CHUNK` bytes that end at a line end, and never hold it
-    whole. The string path's peak is set by its ids at their fixed
-    width, twice over while they are sorted. The integer path's is set
-    by the int64 ids of all the endpoints, not by the text. They go
-    into one array, grown in place chunk by chunk, which then serves
-    every later step: it is relabelled in place and then holds the arc
-    keys from which `Network.from_edges` builds the CSR. At the peak,
-    that array, an eighth at most of slack or a bool per endpoint, the
+    `_read_ids` reads the file in chunks of about `_CHUNK` bytes that
+    end at a line end, and never holds it whole; a file it cannot read
+    so, such as one with a malformed line, goes to the row reader
+    `_load_general`, which reads it whole and reports the line. The
+    string path's peak is set by its ids at their fixed width, twice
+    over while they are sorted. The integer path's is set by the int64
+    ids of all the endpoints, not by the text. They go into one array,
+    grown in place chunk by chunk, which then serves every later step:
+    it is relabelled in place (`_relabel`) and then holds the arc keys
+    from which `Network.from_edges` builds the CSR. At the peak, that
+    array, an eighth at most of slack or a bool per endpoint, the
     n-sized id map and row pointers, and a chunk of scratch are live.
     The CSR's int32 heads then move to the front half of that array,
     which is cut to them. Once the temporaries are freed, the heap is
@@ -303,7 +297,7 @@ def load_edge_list(path) -> Network:
 
 
 def _read_edge_list(path: Path) -> Network:
-    ids = _read_integers(path)
+    ids = _read_ids(path, integer=True)
     if ids is not None:
         ext, inv = _relabel(ids)
         del ids
@@ -318,48 +312,71 @@ def _read_edge_list(path: Path) -> Network:
     return _load_general(path, data)
 
 
-_CHUNK = 1 << 18  # bytes read at a time (see `_line_chunks`)
+_CHUNK = 1 << 16  # bytes read at a time (see `_line_chunks`)
 
 
-def _read_integers(path: Path):
-    """The tokens of an integer edge list as int64 in file order, or None
-    to hand off; raises EdgeListError for an empty or edgeless file.
+def _read_ids(path: Path, integer: bool, refuse=None):
+    """The ids of the edge list `path` in file order, or None to hand
+    off: int64 values if `integer`, else fixed-width bytes.
 
-    The file is read in `_line_chunks`, and each chunk goes through
-    `_integer_values` alone. That is the same as one pass over the whole
-    file: every check is per line or per token, a chunk starts a line,
-    and only the last chunk can end without an LF, so no CR/LF pair and
-    no token is cut. Each chunk's values are written into one array that
-    grows in place (`_kernels._put`).
+    The file is read in `_line_chunks`, and `_tokens` finds each chunk's
+    ids. No line and no id spans two chunks, so this reads what one pass
+    over the whole file would. The ids go into one array that grows in
+    place (`_kernels._put`), widened when a longer id comes.
+
+    It hands off where `_tokens` does, at a chunk for whose bytes array
+    `refuse` returns true, on a file with no ids and, if `integer`, at
+    an id that is not a canonical decimal (`_integers`). Else it hands
+    off when the ids at their fixed width would take more than `_WIDE`
+    times the bytes read, and a MiB more, as one long id among many
+    short ones would make them: past that, the sort's two copies in
+    `_read_strings` would take more than the row reader, which takes
+    about 8 times the file's bytes.
     """
-    ids = np.empty(0, np.int64)
-    count = 0
-    blank = True
+    ids = np.empty(0, np.int64 if integer else "S1")
+    count = read = 0
     with open(path, "rb") as f:
         for chunk in _line_chunks(f):
-            blank = blank and chunk.isspace()
-            value = _integer_values(chunk)
-            if value is None:
+            found = _tokens(chunk)
+            if found is None or (refuse is not None and refuse(found[0])):
                 return None
-            count = _kernels._put(ids, count, value)
-    if blank:
-        raise EdgeListError(f"{path}: empty edge list")
+            buf, lo, length = found
+            read += len(chunk)
+            if not len(lo):
+                continue
+            if integer:
+                part = _integers(buf, lo, length)
+                if part is None:
+                    return None
+            else:
+                width = int(length.max())
+                if max(width, ids.itemsize) * (count + len(lo)) > _WIDE * read + 2**20:
+                    return None
+                if width > ids.itemsize:
+                    ids = ids.astype(f"S{width}")
+                part = _gather(buf, lo, length, width)
+            count = _kernels._put(ids, count, part)
     if not count:
-        raise EdgeListError(f"{path}: no edges found")
+        return None
     ids.resize(count, refcheck=False)
+    trim_heap()  # the chunks' scratch, freed below the ids
     return ids
+
+
+_WIDE = 4  # bounds the ids' fixed width (see `_read_ids`)
 
 
 def _line_chunks(f):
     """The bytes of the binary file `f`, in chunks that end at their last
-    LF; each takes in `_CHUNK` bytes more, or as many as it takes to
-    reach an LF. Never yields an empty chunk."""
+    LF or CR; each takes in `_CHUNK` bytes more, or as many as it takes
+    to reach one. Never yields an empty chunk. A cut may split a CRLF,
+    which `_tokens` reads as two line ends either way."""
     head = []
     while block := f.read(_CHUNK):
-        cut = block.rfind(b"\n") + 1
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
         if cut:
             # joining a lone bytes object returns it, so a file of one
-            # block that ends in an LF is never copied
+            # block that ends in a line end is never copied
             yield b"".join([*head, block[:cut]])
             head = []
             block = block[cut:]
@@ -375,71 +392,37 @@ def _read_strings(path: Path):
     sorted order, and the inverse is each token's label index, in file
     order, as an int64 array that owns its data.
 
-    The file is read in `_line_chunks`, and `_string_tokens` finds each
-    chunk's ids with byte masks; as with `_read_integers`, no line and
-    no token spans two chunks. The ids are gathered into one array of
-    fixed-width bytes, grown in place (`_kernels._put`) and widened when
-    a longer id comes. One sort of that array numbers them, as
+    One sort of the ids from `_read_ids` numbers them, as
     `np.unique(..., return_inverse=True)` would: in UTF-8 byte order,
     which is the code point order in which Python sorts str. The sort
     takes a sorted copy of the ids and 8 bytes a token beside them; once
     both copies are freed, the inverse takes 25 bytes a token.
-
-    It hands off where the row reader might read the file otherwise or
-    word an error: at a NUL byte (a bytes array drops trailing NULs),
-    bytes that are not UTF-8, a line of other than two fields, or a file
-    with no ids. It also hands off when the ids at their fixed width
-    would take more than `_WIDE` times the bytes read, and a MiB more,
-    as one long id among many short ones would make them: past that, the
-    sort's two copies would take more than the row reader, which takes
-    about 8 times the file's bytes.
     """
-    ids = np.empty(0, "S1")
-    count = read = 0
-    with open(path, "rb") as f:
-        for chunk in _line_chunks(f):
-            found = _string_tokens(chunk)
-            if found is None:
-                return None
-            buf, lo, length = found
-            read += len(chunk)
-            if not len(lo):
-                continue
-            width = int(length.max())
-            if max(width, ids.itemsize) * (count + len(lo)) > _WIDE * read + 2**20:
-                return None
-            if width > ids.itemsize:
-                ids = ids.astype(f"S{width}")
-            count = _kernels._put(ids, count, _gather(buf, lo, length, width))
-    if not count:
+    ids = _read_ids(path, integer=False)
+    if ids is None:
         return None
-    ids.resize(count, refcheck=False)
     order = ids.argsort()
     ids = ids[order]
     first = run_starts(ids)
     labels = [label.decode() for label in ids[first].tolist()]
     del ids
-    inverse = np.empty(count, np.int64)
+    inverse = np.empty(len(order), np.int64)
     inverse[order] = np.cumsum(first) - 1
     return labels, inverse
 
 
-_WIDE = 4  # bounds the ids' fixed width (see `_read_strings`)
-
-# the bytes that end an id: ASCII whitespace (`_SPACE`) and line ends
-_GAP = np.zeros(256, np.int8)
-_GAP[[9, 10, 11, 12, 13, 32]] = 1
-
-
-def _string_tokens(chunk: bytes):
+def _tokens(chunk: bytes):
     """(bytes, starts, lengths) of the ids on the edge lines of `chunk`,
-    or None to hand off (see `_read_strings`).
+    or None to hand off.
 
-    An id is a run of bytes other than ASCII whitespace and line ends
-    (LF and CR, so that a CRLF makes one empty line more, which holds
-    no id). A line is a comment when its first id starts with `#`, as
-    `text_lines` reads it after stripping; every other line must hold
-    0 or 2 ids.
+    An id is a run of bytes other than ASCII whitespace (`_SPACE`) and
+    line ends (LF and CR, so that a CRLF makes one empty line more,
+    which holds no id). A line is a comment when its first id starts
+    with `#`, as `text_lines` reads it after stripping; every other line
+    must hold 0 or 2 ids. It hands off where the row reader might read
+    the chunk otherwise or word an error: at a NUL byte (a bytes array
+    drops trailing NULs), bytes that are not UTF-8, or a line of other
+    than two ids.
     """
     if b"\0" in chunk:
         return None
@@ -448,18 +431,26 @@ def _string_tokens(chunk: bytes):
     except UnicodeDecodeError:
         return None
     buf = np.frombuffer(chunk, np.uint8)
-    # -1 where an id starts, 1 one past where it ends
-    edge = np.diff(_GAP[buf], prepend=1, append=1)
-    lo = np.flatnonzero(edge == -1)
-    length = np.flatnonzero(edge == 1) - lo
-    line = np.searchsorted(np.flatnonzero((buf == 10) | (buf == 13)), lo)
-    first = run_starts(line)
+    # bytes 9 to 13 and 32 end an id, and so do both ends of the chunk
+    gap = np.ones(len(buf) + 2, np.bool_)
+    np.less_equal(buf - np.uint8(9), 4, out=gap[1:-1])
+    gap[1:-1] |= buf == 32
+    # an id starts where a gap ends, and ends where the next one starts
+    lo, hi = np.flatnonzero(gap[:-1] != gap[1:]).reshape(-1, 2).T
+    del gap
+    # the first id after a line end starts a line, and so does the first
+    first = np.zeros(len(lo) + 1, np.bool_)
+    first[np.searchsorted(lo, np.flatnonzero((buf == 10) | (buf == 13)))] = True
+    first[0] = True
+    first = first[:-1]
     head = np.flatnonzero(first)
     comment = buf[lo[head]] == ord("#")
     if (np.diff(head, append=len(lo))[~comment] != 2).any():
         return None
+    if not comment.any():
+        return buf, lo, hi - lo
     keep = ~comment[np.cumsum(first) - 1]
-    return buf, lo[keep], length[keep]
+    return buf, lo[keep], (hi - lo)[keep]
 
 
 def _gather(buf, lo, length, width: int):
@@ -468,6 +459,30 @@ def _gather(buf, lo, length, width: int):
     out = np.lib.stride_tricks.sliding_window_view(padded, width)[lo]
     out[np.arange(width) >= length[:, None]] = 0
     return out.view(f"S{width}").ravel()
+
+
+_MAX_DIGITS = 18  # every 18-digit decimal fits in an int64
+
+
+def _integers(buf, lo, length):
+    """The ids `buf[lo:lo + length]`, at least one, as int64; or None
+    unless every one is a canonical decimal: digits only, at most
+    `_MAX_DIGITS` of them, and no leading zero. So each value prints
+    back as the id it came from."""
+    width = int(length.max())
+    if width > _MAX_DIGITS or ((buf[lo] == ord("0")) & (length > 1)).any():
+        return None
+    value = np.zeros(len(lo), np.int64)
+    at = lo + length
+    # add up the ids' k-th digits from the right, one k at a time
+    for k in range(width):
+        at -= 1
+        digit = buf.take(at, mode="clip") - np.uint8(ord("0"))
+        digit *= length > k
+        if digit.max() > 9:
+            return None
+        value += digit * np.int64(10**k)
+    return value
 
 
 def _relabel(ids):
@@ -480,7 +495,8 @@ def _relabel(ids):
     position. Each is then rewritten in place as `position << c | rank`,
     with c the bit length of the last rank, and a second sort puts the
     ranks back in position order. Beside `ids`, that takes a bool per
-    endpoint, the distinct ids and a batch of scratch.
+    endpoint, the distinct ids and a batch of scratch. Ids too large to
+    pack so, near 10**18 in a large file, go to `np.unique` itself.
     """
     b = (len(ids) - 1).bit_length()
     if b > 31 or int(ids.max()) >= 1 << (62 - b):
@@ -513,123 +529,6 @@ def _relabel(ids):
     key.sort()
     key &= (1 << c) - 1
     return ext, key
-
-
-_MAX_DIGITS = 18  # every 18-digit decimal fits in an int64
-_POW10 = [10**k for k in range(1, _MAX_DIGITS)]
-
-
-def _integer_pairs(data: bytes):
-    """Endpoint arrays of an all-integer edge list, or None to hand off.
-
-    Accepts lines of exactly two digit runs of at most 18 digits with
-    no leading zero, separated and optionally surrounded by spaces or
-    tabs; blank lines; `#` lines of printable ASCII and tabs; and `\n`
-    or `\r\n` line ends. The text after the last LF is a line too. On
-    such a file it yields the pairs `_load_general` would read, with
-    each token parsed as an integer. Because no accepted token has a
-    leading zero, every value prints back as the token it came from.
-
-    `_integer_values` has `_blank_comments` check the comments and blank
-    them in a copy, then checks the rest, each check one pass over the
-    bytes or the tokens:
-
-    - every CR is followed by an LF, and `bytes.translate` leaves
-      nothing once digits, spaces, tabs, CRs and LFs are deleted (which
-      fills no array the size of the file);
-    - the tokens start where a digit follows a non-digit. Taken in file
-      order, the token starts and the LFs cut into runs of starts, one
-      run per line, and every run must hold 0 or 2 starts;
-    - one `np.fromstring` call reads every token. A value's width is
-      the count of digits it prints with, up to 18. A token of at most
-      18 digits has at least its value's width, and more when it has a
-      leading zero; a wider token has more than 18 whatever its value
-      (`fromstring` saturates one too wide for int64). So the tokens
-      are exactly the printed values when the file's digit count
-      equals the summed widths.
-    """
-    value = _integer_values(data)
-    return None if value is None else (value[0::2], value[1::2])
-
-
-def _blank_comments(buf):
-    """The bytes of `buf` with its `#` lines blanked, or None to hand off.
-
-    `buf` is a writable uint8 array of the file and is blanked in place.
-    A comment runs from a `#` that starts a line up to the line's LF
-    and may hold printable ASCII, tabs and CRs. Every comment byte but
-    a CR becomes a space; a CR stays for `_integer_values` to check.
-    """
-    newline = np.flatnonzero(buf == 10)
-    starts = np.concatenate([[0], newline + 1])
-    starts = starts[starts < len(buf)]
-    starts = starts[buf[starts] == ord("#")]
-    ends = np.append(newline, len(buf))[np.searchsorted(newline, starts)]
-    del newline
-    delta = np.zeros(len(buf) + 1, dtype=np.int8)
-    delta[starts] = 1
-    delta[ends] = -1
-    comment = np.cumsum(delta[:-1], dtype=np.int8).view(bool)
-    del delta
-    inside = buf[comment]
-    if not ((inside - np.uint8(32) < 95) | (inside == 9) | (inside == 13)).all():
-        return None
-    inside[inside != 13] = ord(" ")
-    buf[comment] = inside
-    del comment, inside
-    return buf.tobytes()
-
-
-def _integer_values(text: bytes):
-    """The tokens of `text` as int64 in file order, or None to hand off.
-    `_integer_pairs` lists the checks."""
-    if b"#" in text:
-        text = _blank_comments(np.frombuffer(text, dtype=np.uint8).copy())
-        if text is None:
-            return None
-    buf = np.frombuffer(text, dtype=np.uint8)
-    if b"\r" in text:
-        cr = np.flatnonzero(buf == 13)
-        if cr[-1] == len(buf) - 1 or (buf[cr + 1] != 10).any():
-            return None
-    if text.translate(None, b"0123456789\t\n\r "):
-        return None
-
-    digit = (buf - np.uint8(ord("0"))) < 10
-    digits = np.count_nonzero(digit)
-    start = np.empty_like(digit)
-    start[:1] = digit[:1]
-    np.greater(digit[1:], digit[:-1], out=start[1:])
-    del digit
-    count = np.count_nonzero(start)
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    start |= buf == 10
-    event = np.flatnonzero(start)
-    del start
-    newline = np.flatnonzero(buf[event] == 10)
-    del event
-    # the starts between two LFs, and before the first and after the last
-    run = np.diff(newline, prepend=-1, append=count + len(newline)) - 1
-    del newline
-    if ((run | 2) != 2).any():  # a run other than 0 or 2
-        return None
-    del run
-
-    # np.fromstring parses past the end of its buffer up to a NUL, which a
-    # bytes object has and an array need not, so it reads `text` and not
-    # `buf`. It gets no count: NumPy 2.4 pads a read that runs short of
-    # one with uninitialised values, so only a read to the end shows one
-    del buf
-    value = np.fromstring(text, dtype=np.int64, sep=" ")
-    if len(value) != count:
-        return None
-    # one digit, plus one per power of ten up to the value, up to 10**17
-    top = int(value.max())
-    width = count + sum(np.count_nonzero(value >= p) for p in _POW10 if p <= top)
-    if width != digits:
-        return None
-    return value
 
 
 def text_lines(data: bytes, path):

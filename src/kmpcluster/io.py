@@ -7,11 +7,12 @@ integers assigned by ascending smallest-member internal id, which keeps
 diffs stable across runs.
 
 A clustering file of integer ids, against a network loaded on its
-integer path, is read with whole-array numpy; every other file, and
-every file with an error in it, is read row by row, and only that
-reader words a `ClusteringFileError`. The writers format and write
-their rows a batch at a time (`graph.label_batches`), not one row at
-a time and not the whole file at once.
+integer path, is read a chunk at a time with whole-array numpy, through
+the edge list's tokenizer; every other file, and every file with an
+error in it, is read whole and row by row, and only that reader words a
+`ClusteringFileError`. The writers format and write their rows a batch
+at a time (`graph.label_batches`), not one row at a time and not the
+whole file at once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .clustering import Clustering, run_starts
 from .errors import ClusteringFileError, unknown_ids
-from .graph import Network, _integer_pairs, fields, label_batches, text_lines
+from .graph import Network, _read_ids, fields, label_batches, text_lines
 
 
 def write_clustering(net: Network, clustering: Clustering, path) -> None:
@@ -49,47 +50,52 @@ def load_clustering(net: Network, path) -> Clustering:
     exact duplicate rows are tolerated. Rows may omit the role column.
 
     A file of two-column rows of canonical decimal integers, against a
-    network with integer ids, is read with whole-array numpy: the
-    tokens through the edge list's `_integer_pairs`, the node ids by
-    binary search, repeated rows from one sort. Anything else, and any
-    such file with an unknown id or a conflicting repeat, is read row
-    by row, which words every error. Either way the rows become the
-    clustering's columns at the end, the cluster keys numbered by
-    `np.unique`. The file is read once, and its bytes are dropped before
-    either of those steps.
+    network with integer ids, is read with whole-array numpy: the ids
+    through the edge list's `_read_ids`, a chunk at a time, the node ids
+    by binary search, repeated rows from one sort. Anything else, and
+    any such file with an unknown id or a conflicting repeat, is read
+    whole and row by row, which words every error. Either way the rows
+    become the clustering's columns at the end, the cluster keys
+    numbered by `np.unique`.
     """
     path = Path(path)
-    data = path.read_bytes()
-    rows = _integer_rows(net, data) if net.integer_ids else None
-    lines = text_lines(data, path) if rows is None else None
-    del data
-    ids, keys, noncore = _read_rows(net, path, lines) if rows is None else rows
+    rows = _integer_rows(net, path) if net.integer_ids else None
+    if rows is None:
+        rows = _read_rows(net, path, text_lines(path.read_bytes(), path))
+    ids, keys, noncore = rows
     cluster = np.unique(keys, return_inverse=True)[1]
     return Clustering.of(net.n, ids, cluster, ~noncore)
 
 
-def _integer_rows(net: Network, data: bytes):
+def _tab_gap(buf) -> bool:
+    """Whether the bytes `buf` hold a tab beside other ASCII blank space
+    (a tab, space, VT or FF): `_read_rows` would cut its line at each of
+    those tabs."""
+    tab = buf == 9
+    blank = tab | (buf == 32) | (buf == 11) | (buf == 12)
+    return bool((tab[:-1] & blank[1:] | blank[:-1] & tab[1:]).any())
+
+
+def _integer_rows(net: Network, path: Path):
     """`(ids, keys, noncore)` of an all-integer file, or None to hand off.
 
     For a network with `integer_ids`. On every file it accepts,
     `_read_rows` would read the same rows without error: each line is
     blank, a `#` comment, or two canonical decimal integers; no tab is
-    next to another tab or a space, since `_read_rows` splits a line
-    with a tab at every tab; every node is in `net`; and a node that
-    repeats names the same cluster each time.
+    next to other blank space (`_tab_gap`); every node is in `net`; and
+    a node that repeats names the same cluster each time.
     """
-    if any(gap in data for gap in (b"\t\t", b"\t ", b" \t")):
+    pairs = _read_ids(path, integer=True, refuse=_tab_gap)
+    if pairs is None:
         return None
-    pairs = _integer_pairs(data)
-    if pairs is None or not len(pairs[0]):
-        return None
-    ids = net.integer_internal_ids(pairs[0])
+    ids = net.integer_internal_ids(pairs[0::2])
     if (ids < 0).any():
         return None
     # by node, then cluster: a node's repeats are adjacent, and any
     # conflict among them shows between two neighbours
-    order = np.lexsort((pairs[1], ids))
-    ids, keys = ids[order], pairs[1][order]
+    order = np.lexsort((pairs[1::2], ids))
+    ids, keys = ids[order], pairs[1::2][order]
+    del pairs, order
     again = ids[1:] == ids[:-1]
     if (keys[1:][again] != keys[:-1][again]).any():
         return None

@@ -223,10 +223,10 @@ def integer_partition(draw):
             cid = draw(cids)
             plain = False
         elif kind == "comment":
-            lines.append("# " + draw(st.text("0123456789 \tab#", max_size=6)))
+            lines.append("# " + draw(st.text("0123456789 \t\v\fab#é\x85\u2028", max_size=6)))
             continue
         elif kind == "blank":
-            lines.append(draw(st.text(" \t", max_size=2)))
+            lines.append(draw(st.text(" \t\v\f", max_size=2)))
             continue
         else:
             node, cid = str(draw(st.sampled_from(ext))), draw(cids)
@@ -234,22 +234,22 @@ def integer_partition(draw):
                 node = "0" + node
                 plain = False
         rows.append((node, cid))
-        line = node + draw(st.sampled_from(["\t", "\t", " ", "  "])) + cid
+        line = node + draw(st.sampled_from(["\t", "\t", " ", "  ", "\v", " \f"])) + cid
         if kind == "roles":
             line += "\t" + draw(st.sampled_from(["core", "noncore", "1"]))
             plain = False
         elif kind == "wide":
             # `_read_rows` splits a line with a tab at every tab
-            line = node + draw(st.sampled_from(["\t\t", " \t", "\t "])) + cid
+            line = node + draw(st.sampled_from(["\t\t", " \t", "\t ", "\t\v", "\f\t"])) + cid
             plain = False
-        pad = st.sampled_from(["", "", " ", "\t"])
+        pad = st.sampled_from(["", "", " ", "\t", "\v", "\f"])
         lines.append(draw(pad) + line + draw(pad))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = end.join(lines) + draw(st.sampled_from(["", end]))
     first = {}
     consistent = all(first.setdefault(node, cid) == cid for node, cid in rows)
     # the integer path also leaves any tab next to other blank space alone
-    narrow = not any(gap in text for gap in ("\t\t", "\t ", " \t"))
+    narrow = not any(gap in text for gap in ("\t\t", "\t ", " \t", "\t\v", "\v\t", "\t\f", "\f\t"))
     return net, twin, text, plain and consistent and narrow and bool(rows)
 
 
@@ -271,7 +271,7 @@ def test_integer_partition_path_matches_row_path(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("part") / "partition.tsv"
     path.write_bytes(text.encode())
     if plain:
-        assert io._integer_rows(net, path.read_bytes()) is not None
+        assert io._integer_rows(net, path) is not None
 
     def rows(net):
         return io._read_rows(net, path, graph.text_lines(path.read_bytes(), path))
@@ -344,6 +344,34 @@ def test_cli_pipeline_artifacts_and_accounting(tmp_path):
     dropped = {int(s) for s in (out / "discarded.tsv").read_text().split()}
     assert not clustered & singles and not clustered & dropped
     assert clustered | singles | dropped == set(range(16))
+
+
+def test_ids_alone_set_the_numbering(tmp_path):
+    # the same integer edges in five forms; in string order `10000` would
+    # come before `3`, and the first clique would become cluster 0
+    labels = [5, 40, 300, 2000, 10000, 100000, 9, 80, 700, 6000, 50000,
+              400000, 3, 20, 1, 999999]
+    rows = [f"{labels[a]}\t{labels[b]}\n" for a, b in planted_edges()]
+    plain = "".join(rows)
+    forms = {
+        "plain": plain,
+        "comment": "# café\n" + plain,
+        "indented": "".join(rows[:20]) + "  \t# 1 2 3\n" + "".join(rows[20:]),
+        "vtab": plain.replace("\t", "\v"),
+        "cr": plain.replace("\n", "\r"),
+    }
+    want = [str(e) for e in sorted(labels)]
+    outputs = set()
+    for name, text in forms.items():
+        path = tmp_path / f"{name}.tsv"
+        path.write_bytes(text.encode())
+        net = load_edge_list(path)
+        assert net.integer_ids, name
+        assert net.external_ids(net.all_nodes()) == want, name
+        out = tmp_path / name
+        assert main(["pipeline", str(path), "--k", "5", "--out", str(out)]) == 0
+        outputs.add(tuple((out / f).read_bytes() for f in ("clustering.tsv", "id_map.tsv")))
+    assert len(outputs) == 1
 
 
 def test_cli_pipeline_defaults_match_plain_ikc(tmp_path):
