@@ -7,15 +7,18 @@ network's and the local ones alike, the arc offsets are int64 and the
 node ids int32. A kernel widens heads to int64 before it builds a
 product or key from them; `_row_batches` hands them out widened.
 
-Every kernel but one is numpy over whole arrays or over batches of
+Every kernel but two is numpy over whole arrays or over batches of
 them: the neighbour counts `subset_degrees`, `induced_edges` and
 `count_neighbors_in` (which no module here calls; the benchmark's
 tracer still wraps it by name), `cut_counts`, `extract_local_csr`,
-`compact`, `matvec`, `peel`, `settle` (which keeps core numbers exact
-as nodes are deleted), `component_labels` (on a local CSR),
-`sweep_objective` and `best_cluster_per_node`. The one exception is
-`refine_split`, whose steps depend on the steps before it: it runs as
-ordinary Python over lists, one step per node a pass, and keeps each
+`compact`, `peel`, `settle` (which keeps core numbers exact as nodes
+are deleted), `component_labels` (on a local CSR), `sweep_objective`
+and `best_cluster_per_node`. `matvec`, which stage 2's power iteration
+calls a hundred times a round, is scipy's compiled `csr_matvec`,
+loaded from its extension file alone at the first product
+(`_sparsetools`); like the rest, it runs on one thread. The last one
+is `refine_split`, whose steps depend on the steps before it: it runs
+as ordinary Python over lists, one step per node a pass, and keeps each
 node's count of neighbours on side 0 up to date instead of rescanning
 its arcs. It counts its starting cut and internal edges from those
 counts, and one cap bounds both its passes and its moves.
@@ -39,11 +42,17 @@ joined at the end.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
 
 from .clustering import run_starts
 
-# Nothing here is compiled; the benchmark reports this as its backend.
+# Nothing here is JIT-compiled; the benchmark reports this as its backend.
 NUMBA = False
 
 # Arcs handled at a time by the batched kernels and by the in-place steps
@@ -286,7 +295,7 @@ def component_labels(lptr, lind):
     low = np.empty(len(row), np.int64)
     while len(row):
         for lo, hi in cut:
-            arcs = lind[ends[lo] : ends[hi]]
+            arcs = lind[ends[lo] : ends[hi]].astype(np.int64)
             low[lo:hi] = np.minimum.reduceat(parent[arcs], start[lo:hi] - ends[lo])
         pr = parent[row]
         # arcs run both ways, so an arc between two trees shows as a
@@ -345,15 +354,55 @@ def compact(a, keep):
     a.resize(w, refcheck=False)
 
 
-def matvec(lptr, lind, x, out, rows):
+def matvec(lptr, lind, x, out, ones):
     """out[i] = sum of x over neighbors of i in a local CSR.
 
-    `rows` is the row of each arc, `np.repeat(np.arange(len(out)),
-    np.diff(lptr))`; a caller that multiplies by one matrix many times
-    builds it once. np.bincount adds the weights in arc order starting
-    from 0.0, so the sums match a per-row loop to the last bit.
+    scipy's compiled `csr_matvec` takes `ones`, a float64 1.0 per arc,
+    as the matrix's entries. It starts each row from 0.0 and adds
+    1.0 * x[j], which is exact, in arc order, so the sums match a
+    per-row loop to the last bit. `lptr` and `lind` must share one
+    index dtype; a call on mixed dtypes converts them every time.
     """
-    out[:] = np.bincount(rows, weights=x[lind], minlength=len(out))
+    out.fill(0.0)  # csr_matvec adds each row's sum to what out holds
+    _sparsetools().csr_matvec(len(out), len(x), lptr, lind, ones, x, out)
+
+
+@functools.cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, `scipy.sparse._sparsetools`.
+
+    When scipy.sparse is loaded, this is its module. Otherwise only the
+    extension file is loaded, found beside scipy without importing it:
+    on a 2-core machine that took 0.2 ms and 0.15 MiB, where `import
+    scipy.sparse` took 75 to 90 ms and 20 MiB. Loading the file enters
+    it in `sys.modules`; the entry is taken out again, since a later
+    `import scipy.sparse` would then leave the package without its
+    `_sparsetools` attribute.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    folder = os.path.join(scipy.submodule_search_locations[0], "sparse")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_sparsetools" + suffix)
+        if os.path.exists(path):
+            break
+    else:
+        # the file's name is scipy's private layout; `pyproject.toml`
+        # bounds scipy to the versions that keep it
+        raise ImportError(
+            f"stage 2's product needs scipy's compiled {name}, and {folder}"
+            " holds no _sparsetools file with an extension suffix of this"
+            " Python",
+            name=name,
+            path=folder,
+        )
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.pop(name, None)
+    spec.loader.exec_module(module)
+    return module
 
 
 def cut_counts(indptr, indices, side, nodes):
@@ -383,8 +432,10 @@ def sweep_objective(lptr, lind, order, starts):
     including order[j] and the rest; the last entry of a block, whose
     side 1 is empty, is inf.
 
-    Each node's count of neighbours placed before it is a bincount over
-    the arcs that point back along the order; per-block running sums of
+    Each node's count of neighbours placed before it is counted over the
+    arcs that point back along the order, a batch of arcs at a time
+    (`_count_arcs`), so no array of the graph's size is built beside
+    the CSR. Per-block running sums of
     these counts and of the degrees give every prefix's internal and cut
     edge counts as exact integers. The objective is then cut / l0 +
     cut / l1 in float64, the arithmetic of a node-by-node sweep.
@@ -392,8 +443,9 @@ def sweep_objective(lptr, lind, order, starts):
     n = len(order)
     pos = np.empty(n, np.int64)
     pos[order] = np.arange(n)
-    rows = np.repeat(np.arange(n), np.diff(lptr))
-    back = np.bincount(rows[pos[lind] < pos[rows]], minlength=n)[order]
+    back = _count_arcs(
+        lptr, lind, np.arange(n), lambda u, at, rows: pos[u] < pos[at][rows]
+    )[order]
     sizes = np.diff(starts)
 
     def running(v):

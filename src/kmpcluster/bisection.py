@@ -128,7 +128,8 @@ def _spectral_orders(lptr, lind, starts):
     All blocks step together, and each gets the floats of a run on its
     own: `matvec` sums every row in arc order, a block of n nodes starts
     from the first n draws of the generator, which are what a request
-    for n draws returns, and everything but the scalars is elementwise.
+    for n draws returns, and everything but the scalars is elementwise. The product's entries, a 1.0 per arc,
+    are built once per call, and no step allocates a per-arc array.
     Each block's scalars are BLAS dot products on its views into the
     long vectors, the call a block on its own makes (`.dot` reaches it
     with less overhead than `@`); segmented sums (`reduceat`,
@@ -142,7 +143,8 @@ def _spectral_orders(lptr, lind, starts):
     order, block after block.
     """
     sizes = np.diff(starts)
-    block = np.repeat(np.arange(len(sizes)), sizes)
+    nb = len(sizes)
+    block = np.repeat(np.arange(nb), sizes)
     arcs = lptr[starts[1:]] - lptr[starts[:-1]]
     deg = np.diff(lptr).astype(np.float64)
     w = deg / np.maximum(arcs, 1).astype(np.float64)[block]
@@ -152,25 +154,26 @@ def _spectral_orders(lptr, lind, starts):
     bounds = np.column_stack([starts[:-1], starts[1:]]).tolist()
     wv, xv, yv = ([v[s:e] for s, e in bounds] for v in (w, x, y))
     dot = np.ndarray.dot
-    x -= np.array(list(map(dot, wv, xv))).repeat(sizes)
+    x -= np.fromiter(map(dot, wv, xv), np.float64, nb).repeat(sizes)
     tmp = np.empty(len(block))
     safe = np.maximum(deg, 1.0)
-    isolated = np.flatnonzero(deg == 0)
-    rows = np.repeat(np.arange(len(block)), np.diff(lptr))
-    # every step gathers x[lind], which numpy does faster with int64 heads
-    # (8 rounds on 11.6M edges, 2 cores: `matvec` 94 s, 107 s on int32)
-    lind = lind.astype(np.int64)
+    # y = 0.5 * x + 0.5 * tmp / safe, and x where a node has no arc, whose
+    # product is 0.0: the factor on x is 1.0 there
+    half = np.where(deg == 0, 1.0, 0.5)
+    # scipy's product takes one index dtype for both arrays, and reads
+    # int32 heads as fast as int64 ones
+    index = np.int32 if len(lind) < 2**31 else np.int64
+    lptr, lind = lptr.astype(index, copy=False), lind.astype(index, copy=False)
+    ones = np.ones(len(lind))
     still = arcs == 0
     for _ in range(_SPECTRAL_ITERS):
-        _kernels.matvec(lptr, lind, x, tmp, rows)
-        # y = 0.5 * x + 0.5 * tmp / safe, and x where a node has no arc
-        np.multiply(x, 0.5, out=y)
+        _kernels.matvec(lptr, lind, x, tmp, ones)
+        np.multiply(x, half, out=y)
         tmp *= 0.5
         tmp /= safe
         y += tmp
-        y[isolated] = x[isolated]
-        y -= np.array(list(map(dot, wv, yv))).repeat(sizes)
-        nrm = np.sqrt(np.array(list(map(dot, yv, yv))))
+        y -= np.fromiter(map(dot, wv, yv), np.float64, nb).repeat(sizes)
+        nrm = np.sqrt(np.fromiter(map(dot, yv, yv), np.float64, nb))
         still |= nrm < 1e-300
         nrm[still] = 1.0
         np.copyto(y, x, where=still.repeat(sizes))

@@ -410,6 +410,13 @@ def sweep_objective(lptr, lind, order, m_local):
     return vals
 
 
+def matvec(lptr, lind, x, out):
+    """out[i] = sum of x over the neighbours of i: np.bincount adds the
+    weights in arc order, each row's from 0.0."""
+    rows = np.repeat(np.arange(len(out)), np.diff(lptr))
+    out[:] = np.bincount(rows, weights=x[lind], minlength=len(out))
+
+
 def spectral_order(lptr, lind):
     """Order local nodes by a diffusion eigenvector estimate.
 
@@ -427,9 +434,8 @@ def spectral_order(lptr, lind):
     tmp = np.empty(nloc)
     safe = np.maximum(deg, 1.0)
     linked = deg > 0
-    rows = np.repeat(np.arange(nloc), np.diff(lptr))
     for _ in range(_SPECTRAL_ITERS):
-        _kernels.matvec(lptr, lind, x, tmp, rows)
+        matvec(lptr, lind, x, tmp)
         y = np.where(linked, 0.5 * x + 0.5 * tmp / safe, x)
         y -= w @ y
         nrm = np.linalg.norm(y)

@@ -362,13 +362,14 @@ def test_a_vanishing_block_stops_alone(monkeypatch):
     # with this product every row of degree 4 gives y = 0 exactly, so the
     # 4-regular ring's iterate vanishes at the first step while the
     # random graph's goes on; each block must end as it would alone
-    real = _kernels.matvec
+    for module in (_kernels, oracles):
+        real = module.matvec
 
-    def vanishing(lptr, lind, x, out, rows):
-        real(lptr, lind, x, out, rows)
-        out[:] = np.where(np.diff(lptr) == 4, -4.0 * x, out)
+        def vanishing(lptr, lind, x, out, *ones, real=real):
+            real(lptr, lind, x, out, *ones)
+            out[:] = np.where(np.diff(lptr) == 4, -4.0 * x, out)
 
-    monkeypatch.setattr(_kernels, "matvec", vanishing)
+        monkeypatch.setattr(module, "matvec", vanishing)
     rng = np.random.default_rng(5)
     ring = synth.circulant_edges(20, (1, 2))
     iu = np.triu_indices(24, k=1)
@@ -393,17 +394,18 @@ def test_a_block_that_vanishes_mid_run_keeps_its_last_vector(monkeypatch):
     # the 4-regular ring's iterate vanishes there and it must keep the
     # vector of the 4th step to the end, while an edgeless block keeps
     # its start vector and the random graph goes on stepping
-    real = _kernels.matvec
+    reals = {module: module.matvec for module in (_kernels, oracles)}
 
     def vanish_at_the_fifth_product():
         products = itertools.count(1)
+        for module, real in reals.items():
 
-        def vanishing(lptr, lind, x, out, rows):
-            real(lptr, lind, x, out, rows)
-            if next(products) == 5:
-                out[:] = np.where(np.diff(lptr) == 4, -4.0 * x, out)
+            def vanishing(lptr, lind, x, out, *ones, real=real):
+                real(lptr, lind, x, out, *ones)
+                if next(products) == 5:
+                    out[:] = np.where(np.diff(lptr) == 4, -4.0 * x, out)
 
-        monkeypatch.setattr(_kernels, "matvec", vanishing)
+            monkeypatch.setattr(module, "matvec", vanishing)
 
     rng = np.random.default_rng(5)
     ring = synth.circulant_edges(20, (1, 2))
@@ -426,7 +428,7 @@ def test_a_block_that_vanishes_mid_run_keeps_its_last_vector(monkeypatch):
     for want, s, e in zip(wants, starts[:-1], starts[1:]):
         assert (order[s:e] - s).tobytes() == want.tobytes()
     # the ring stops short of where 100 steps take it
-    monkeypatch.setattr(_kernels, "matvec", real)
+    monkeypatch.setattr(_kernels, "matvec", reals[_kernels])
     assert (order[:20] != bisection._spectral_orders(lptr, lind, starts)[:20]).any()
 
 

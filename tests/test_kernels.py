@@ -7,6 +7,9 @@ network, on no nodes, on one node, or on a random part of it; the
 grouped kernels also on that part cut into random groups.
 """
 
+import importlib.machinery
+import importlib.util
+import sys
 import tracemalloc
 from itertools import accumulate
 
@@ -217,16 +220,17 @@ def test_neighbor_counts_match_adjacency_sets(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=network_and_subset())
-def test_matvec_sums_in_arc_order_bit_for_bit(case):
+@given(case=network_and_subset(), index=st.sampled_from((np.int32, np.int64)))
+def test_matvec_sums_in_arc_order_bit_for_bit(case, index):
+    # the isolated pieces and the nodes outside the subset give empty rows
     net, sub, rng = case
     rows = local_adjacency(oracles.adjacency(net), sub)
-    lptr = np.array([0, *accumulate(len(r) for r in rows)], dtype=np.int64)
-    lind = np.array([j for r in rows for j in r], dtype=np.int32)
+    lptr = np.array([0, *accumulate(len(r) for r in rows)], dtype=index)
+    lind = np.array([j for r in rows for j in r], dtype=index)
     # magnitudes from 1e-8 to 1e8, so the order of the additions shows
     x = rng.standard_normal(len(sub)) * 10.0 ** rng.integers(-8, 9, len(sub))
     out = np.full(len(sub), np.nan)
-    _kernels.matvec(lptr, lind, x, out, np.repeat(np.arange(len(sub)), np.diff(lptr)))
+    _kernels.matvec(lptr, lind, x, out, np.ones(len(lind)))
     expect = []
     for r in rows:
         s = 0.0
@@ -234,6 +238,33 @@ def test_matvec_sums_in_arc_order_bit_for_bit(case):
             s += float(x[j])
         expect.append(s)
     assert out.tobytes() == np.array(expect, dtype=np.float64).tobytes()
+
+
+def test_the_product_reuses_a_loaded_scipy_sparse(monkeypatch):
+    import scipy.sparse._sparsetools as loaded
+
+    def no_file(*args):
+        raise AssertionError("the extension file was loaded again")
+
+    monkeypatch.setattr(importlib.util, "spec_from_file_location", no_file)
+    _kernels._sparsetools.cache_clear()
+    try:
+        assert _kernels._sparsetools() is loaded
+        assert sys.modules["scipy.sparse._sparsetools"] is loaded
+    finally:
+        _kernels._sparsetools.cache_clear()
+
+
+def test_a_scipy_without_the_extension_file_names_it(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools", raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".none"])
+    _kernels._sparsetools.cache_clear()
+    try:
+        with pytest.raises(ImportError, match="no _sparsetools file") as raised:
+            _kernels._sparsetools()
+        assert raised.value.name == "scipy.sparse._sparsetools"
+    finally:
+        _kernels._sparsetools.cache_clear()
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,11 @@
 """The package has one backend, no environment switches and lazy names.
 
-Every kernel runs as numpy or plain Python on one thread, so nothing in
-the package may read an environment variable to pick a path, and
-loading the CLI and every module must not look for an optional
-compiler. A run does
-not import `numpy.ma` either, which plain `np.unique` loads.
+Every kernel runs on one thread as numpy, plain Python or, for stage
+2's product, scipy's compiled CSR kernel. So nothing in the package may
+read an environment variable to pick a path, and loading the CLI and
+every module must not look for an optional compiler. A run does not import `numpy.ma`, which
+plain `np.unique` loads, nor the `scipy.sparse` package, whose product
+kernel is loaded from its extension file alone.
 
 The package's public names load their modules on first use, and the CLI
 imports a subcommand's stages when it runs, so `--help`, a bad argument
@@ -53,6 +54,21 @@ assert main(
 print("numpy.ma" in sys.modules)
 """
 
+
+# runs `pipeline` with stage 2 on the file given, reports whether the
+# product kernel was loaded and whether scipy.sparse was, then whether a
+# later import of scipy.sparse still binds its kernel module
+_SPECTRAL = """
+import sys
+from kmpcluster import _kernels
+from kmpcluster.cli import main
+
+edges, out = sys.argv[1:]
+assert main(["pipeline", edges, "--k", "5", "--stage2", "iterative", "--out", out]) == 0
+print(_kernels._sparsetools.cache_info().currsize, "scipy.sparse" in sys.modules)
+import scipy.sparse
+print(hasattr(scipy.sparse, "_sparsetools"))
+"""
 
 # calls the CLI with the arguments given and lists what it loaded
 _LOADED = """
@@ -127,6 +143,22 @@ def test_cli_runs_do_not_import_numpy_ma(tmp_path):
     rows = [(v, 0) for v in range(6, -1, -1)] + [(14, 0), (15, 1), (9, 1), (8, 1)]
     noisy.write_text("".join(f"{v}\t{c}\n" for v, c in rows))
     assert _child(_RUNS, path, noisy, tmp_path) == "False"
+
+
+def test_stage_2_loads_its_product_without_scipy_sparse(tmp_path):
+    # two 20-cliques joined by one edge are one core of 40 nodes, too
+    # many to enumerate, so stage 2 orders it by the power iteration; a
+    # third clique apart gives that core positive modularity
+    edges = [
+        (a, b)
+        for c in (0, 20, 40)
+        for a in range(c, c + 20)
+        for b in range(a + 1, c + 20)
+    ]
+    path = tmp_path / "net.tsv"
+    rows = "".join(f"{a}\t{b}\n" for a, b in edges + [(19, 20)])
+    path.write_text(rows, encoding="utf-8")
+    assert _child(_SPECTRAL, path, tmp_path / "out").splitlines() == ["1 False", "True"]
 
 
 def test_help_and_a_bad_argument_load_only_the_parser():
